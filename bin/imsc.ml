@@ -778,7 +778,7 @@ let cmd_batch =
   let journal_arg =
     let doc =
       "Append every completed loop to a crash-safe journal at $(docv) \
-       (fsync'd JSONL; survives SIGKILL with at most one torn line)."
+       (fsync'd CRC-checked records; a SIGKILL tears at most the last)."
     in
     Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"FILE" ~doc)
   in
@@ -788,7 +788,7 @@ let cmd_batch =
        not re-run, their stored report lines are replayed verbatim, and \
        new completions append to the same journal.  Refuses a journal \
        whose manifest hash does not match this run's machine, flags, \
-       and corpus."
+       and corpus, or one with a record that fails its CRC."
     in
     Arg.(value & opt (some string) None & info [ "resume" ] ~docv:"FILE" ~doc)
   in
@@ -971,37 +971,31 @@ let cmd_batch =
         (match resume with
         | None -> ()
         | Some path -> (
-            match Ims_exec.Journal.read ~path with
+            let module J = Ims_exec.Journal in
+            match J.read ~path with
             | Error msg ->
                 failwith (Printf.sprintf "batch: cannot resume: %s" msg)
-            | Ok r ->
-                if r.Ims_exec.Journal.manifest.Ims_exec.Journal.tool
-                   <> "imsc-batch"
-                then
+            | Ok { J.manifest = m; entries; torn } ->
+                if m.J.tool <> "imsc-batch" then
                   failwith
                     (Printf.sprintf
                        "batch: %s is a %S journal, not an imsc-batch one" path
-                       r.Ims_exec.Journal.manifest.Ims_exec.Journal.tool);
-                if
-                  r.Ims_exec.Journal.manifest.Ims_exec.Journal.hash
-                  <> manifest_hash
-                then
+                       m.J.tool);
+                if m.J.hash <> manifest_hash then
                   failwith
                     (Printf.sprintf
                        "batch: %s: journal %s was written with a \
                         different configuration — refusing to reuse its \
                         results"
-                       (Ims_exec.Journal.explain_mismatch
-                          ~journal:r.Ims_exec.Journal.manifest
-                          ~current:current_manifest)
+                       (J.explain_mismatch ~journal:m ~current:current_manifest)
                        path);
-                if r.Ims_exec.Journal.torn then
+                if torn then
                   Log.warn batch_log "ignoring torn final record in %s" path;
                 List.iter
                   (fun (i, line) ->
                     if Hashtbl.mem my_indices i then
                       Hashtbl.replace completed i line)
-                  r.Ims_exec.Journal.entries;
+                  entries;
                 Log.info batch_log
                   "resuming — %d of %d job(s) already journaled"
                   (Hashtbl.length completed) n));
@@ -1303,7 +1297,7 @@ let cmd_corpus =
   in
   let seed_arg =
     let doc =
-      "Generator seed.  Loop $(i)i$(b,) of a corpus is a pure function \
+      "Generator seed.  Loop $(i,i) of a corpus is a pure function \
        of (seed, i), so any prefix or shard regenerates byte-identically."
     in
     Arg.(value & opt int 1994 & info [ "seed" ] ~docv:"SEED" ~doc)
@@ -1677,9 +1671,9 @@ let cmd_serve =
   in
   let cache_file_arg =
     let doc =
-      "Persist the schedule cache to $(docv) (fsync'd append-only JSONL \
-       with a version header): a restarted daemon replays it and starts \
-       warm, surviving even SIGKILL with at most one torn entry."
+      "Persist the schedule cache to $(docv) (fsync'd CRC-checked records \
+       behind a version header): a restarted daemon replays it warm; a \
+       torn or damaged entry is dropped there and recomputed."
     in
     Arg.(value & opt (some string) None & info [ "cache" ] ~docv:"FILE" ~doc)
   in
@@ -2123,7 +2117,11 @@ let cmd_cache =
     (* Entry bounds are a serving-time policy; offline tooling loads the
        whole file so stats/compaction see every live entry. *)
     match Ims_serve.Cache.open_ ~capacity:max_int ~path:file () with
-    | Ok c -> c
+    | Ok c ->
+        (match (Ims_serve.Cache.stats c).corrupt with
+        | Some (at, why) -> Log.warn log "cache: %s: byte %d: %s" file at why
+        | None -> ());
+        c
     | Error msg -> failwith ("cache: " ^ msg)
   in
   let file_size file =

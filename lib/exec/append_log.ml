@@ -7,26 +7,31 @@ type t = {
   mutable unsynced : int;
 }
 
-(* One full line per write call, then fsync: a crash can tear at most
-   the line being written, and only at the end of the file.
+let push fd s =
+  let len = String.length s in
+  let rec go off =
+    if off < len then go (off + Unix.write_substring fd s off (len - off))
+  in
+  go 0
+
+(* One whole frame per write call, then fsync: a crash can tear at most
+   the frame being written, and only at the end of the file.
 
    With [sync_every > 1] the fsync is amortised over that many appends.
    A SIGKILL still loses nothing that [write] returned for — completed
    writes survive process death in the page cache — so crash-resume
    semantics are unchanged; only power-loss durability is traded, and
    at most [sync_every - 1] records of it. *)
-let write_line t json =
-  let line = Bytes.of_string (Json.to_string json ^ "\n") in
-  let len = Bytes.length line in
-  let rec push off =
-    if off < len then push (off + Unix.write t.fd line off (len - off))
-  in
-  push 0;
+let append t json =
+  push t.fd (Frame.encode (Json.to_string json));
   t.unsynced <- t.unsynced + 1;
   if t.unsynced >= t.sync_every then begin
     Unix.fsync t.fd;
     t.unsynced <- 0
   end
+
+let encoded_bytes json =
+  Frame.header_bytes + String.length (Json.to_string json)
 
 let mk ?(sync_every = 1) fd =
   if sync_every < 1 then invalid_arg "Append_log: sync_every < 1";
@@ -37,37 +42,33 @@ let create ?sync_every ~path ~header () =
     Unix.openfile path [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644
   in
   let t = mk ?sync_every fd in
-  write_line t header;
+  append t header;
   t
 
-let read_all path =
+(* Every verified frame in file order, and how the stream ended. *)
+let scan path =
   let ic = open_in_bin path in
   Fun.protect
     ~finally:(fun () -> close_in_noerr ic)
-    (fun () -> really_input_string ic (in_channel_length ic))
+    (fun () ->
+      let r = Frame.reader ic in
+      let rec go acc =
+        match Frame.next r with
+        | Some (_, payload) -> go (payload :: acc)
+        | None -> (List.rev acc, Frame.ending r, Frame.verified_end r)
+      in
+      go [])
 
-(* A torn trailing fragment (SIGKILL mid-append) must be cut before the
-   next append, or the fragment and the new record would fuse into one
-   corrupt line — poisoning the log for any later reader. *)
+(* Whatever follows the longest valid prefix — a torn frame, or a
+   damaged one and everything after it — must be cut before the next
+   append, or a later reader would stop at it and never see the new
+   records. *)
 let reopen ?sync_every ~path () =
   let fd = Unix.openfile path [ Unix.O_RDWR ] 0o644 in
-  let size = (Unix.fstat fd).Unix.st_size in
-  let keep =
-    if size = 0 then 0
-    else begin
-      let content = read_all path in
-      if content.[String.length content - 1] = '\n' then String.length content
-      else
-        match String.rindex_opt content '\n' with
-        | Some i -> i + 1
-        | None -> 0
-    end
-  in
-  if keep < size then Unix.ftruncate fd keep;
+  let _, _, keep = scan path in
+  if keep < (Unix.fstat fd).Unix.st_size then Unix.ftruncate fd keep;
   ignore (Unix.lseek fd keep Unix.SEEK_SET);
   mk ?sync_every fd
-
-let append t json = write_line t json
 
 let flush t =
   if t.unsynced > 0 then begin
@@ -85,19 +86,8 @@ let rewrite ~path ~header ~records =
   let fd = Unix.openfile tmp [ Unix.O_WRONLY; Unix.O_CREAT; Unix.O_TRUNC ] 0o644 in
   match
     let buf = Buffer.create 65536 in
-    Buffer.add_string buf (Ims_obs.Json.to_string header);
-    Buffer.add_char buf '\n';
-    List.iter
-      (fun r ->
-        Buffer.add_string buf (Ims_obs.Json.to_string r);
-        Buffer.add_char buf '\n')
-      records;
-    let line = Buffer.to_bytes buf in
-    let len = Bytes.length line in
-    let rec push off =
-      if off < len then push (off + Unix.write fd line off (len - off))
-    in
-    push 0;
+    List.iter (fun r -> Frame.add buf (Json.to_string r)) (header :: records);
+    push fd (Buffer.contents buf);
     Unix.fsync fd;
     Unix.rename tmp path
   with
@@ -114,25 +104,17 @@ let close t =
     Unix.close t.fd
   end
 
-type loaded = { header : string; records : string list; torn : bool }
+type loaded = {
+  header : string;
+  records : string list;
+  ending : Frame.ending;
+}
 
 let load ~path =
-  match read_all path with
+  match scan path with
   | exception Sys_error msg -> Error msg
-  | "" -> Error "empty log"
-  | content ->
-      let complete = content.[String.length content - 1] = '\n' in
-      let lines =
-        String.split_on_char '\n' content |> List.filter (fun l -> l <> "")
-      in
-      let lines, torn =
-        if complete then (lines, false)
-        else
-          (* The fragment is whatever follows the last newline; drop it. *)
-          match List.rev lines with
-          | _fragment :: kept -> (List.rev kept, true)
-          | [] -> ([], true)
-      in
-      (match lines with
-      | [] -> Error "log holds no complete line"
-      | header :: records -> Ok { header; records; torn })
+  | header :: records, ending, _ -> Ok { header; records; ending }
+  | [], Clean, _ -> Error "empty log"
+  | [], (Torn (offset, reason) | Corrupt (offset, reason)), _ ->
+      Error
+        (Printf.sprintf "no valid header frame (byte %d: %s)" offset reason)

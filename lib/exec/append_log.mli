@@ -1,15 +1,14 @@
-(** Crash-safe append-only JSONL files: the shared substrate of the
-    batch {!Journal} and the serve-daemon schedule cache.
+(** Crash-safe append-only logs of JSON records: the shared substrate
+    of the batch {!Journal} and the serve-daemon schedule cache.
 
     The contract, shared by every user:
 
-    - one complete line per {!append}, fsync'd before returning, so a
-      crash (even SIGKILL) can tear at most the line being written, and
-      only at the very end of the file;
-    - {!reopen} cuts any torn trailing fragment before the next append,
-      so the fragment and a new record can never fuse into one corrupt
-      line;
-    - the first line is a header identifying the format (written by
+    - one CRC-checked {!Frame} of JSON per {!append}, fsync'd before
+      returning, so a crash (even SIGKILL) can tear at most the frame
+      being written, and only at the very end of the file;
+    - {!load} stops at the first torn or damaged frame and {!reopen}
+      cuts it and everything after it, so no damaged record is reused;
+    - the first record is a header identifying the format (written by
       {!create}, returned raw by {!load} for the caller to validate).
 
     [sync_every] (default 1) amortises the fsync over that many
@@ -23,16 +22,18 @@
 type t
 
 val create : ?sync_every:int -> path:string -> header:Ims_obs.Json.t -> unit -> t
-(** Truncate-create [path] and write the header line.
+(** Truncate-create [path] and write the header record.
     @raise Invalid_argument if [sync_every < 1]. *)
 
 val reopen : ?sync_every:int -> path:string -> unit -> t
-(** Open an existing log for appending, truncating a torn final line
-    (one not ending in ['\n']) first.  @raise Unix.Unix_error if the
-    file cannot be opened. *)
+(** Open an existing log for appending, truncated to its longest valid
+    prefix first.  @raise Unix.Unix_error if the file cannot be opened. *)
 
 val append : t -> Ims_obs.Json.t -> unit
-(** Append one record as a single line, fsync'd per [sync_every]. *)
+(** Append one record as a single frame, fsync'd per [sync_every]. *)
+
+val encoded_bytes : Ims_obs.Json.t -> int
+(** On-disk size of one record, frame included. *)
 
 val flush : t -> unit
 (** Force any deferred fsync now. *)
@@ -50,12 +51,12 @@ val close : t -> unit
 (** Flushes any deferred fsync; idempotent. *)
 
 type loaded = {
-  header : string;  (** The first line, raw (no trailing newline). *)
-  records : string list;  (** Every complete line after the header. *)
-  torn : bool;  (** A trailing fragment was present and dropped. *)
+  header : string;  (** The header record's JSON text. *)
+  records : string list;  (** Every verified record after the header. *)
+  ending : Frame.ending;  (** Why the verified records stopped. *)
 }
 
 val load : path:string -> (loaded, string) result
-(** Read the whole log.  A final line without ['\n'] is an interrupted
-    append: it is dropped and reported as [torn] rather than returned —
-    re-deriving the lost record is the caller's business. *)
+(** Read the whole log.  [Error] on an unreadable file or one without
+    a valid header frame.  What a torn or corrupt ending means is the
+    caller's business. *)

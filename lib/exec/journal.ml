@@ -11,9 +11,9 @@ type manifest = {
 (* Version 2 added [parts]: the overall hash's named ingredients
    (machine / flags / corpus / shard), recorded so a resume refusal can
    say *which* one diverged instead of printing two opaque digests.
-   Version 1 journals (no "parts" field) still parse, with an empty
-   list. *)
-let format_version = 2
+   Version 3 moved every record into a CRC-checked Frame.  A manifest
+   without "parts" still parses, with an empty list. *)
+let format_version = 3
 let manifest_hash = Content_hash.of_parts
 
 let hash_of_parts parts =
@@ -38,9 +38,9 @@ let manifest_json m =
           );
         ])
 
-(* The fsync'd append / torn-tail-truncation machinery is shared with
-   the serve daemon's schedule cache (Append_log); the journal adds the
-   manifest and the per-job record schema on top. *)
+(* The framed, fsync'd append and valid-prefix truncation are shared
+   with the serve daemon's schedule cache (Append_log); the journal adds
+   the manifest and the per-job record schema on top. *)
 type writer = Append_log.t
 
 let create ?sync_every ~path m =
@@ -67,17 +67,8 @@ type recovered = {
   torn : bool;
 }
 
-let field obj k =
-  match obj with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let int_field obj k =
-  match field obj k with Some (Json.Int i) -> Some i | _ -> None
-
-let str_field obj k =
-  match field obj k with Some (Json.String s) -> Some s | _ -> None
-
 let parts_field obj =
-  match field obj "parts" with
+  match Json.field obj "parts" with
   | Some (Json.Obj kvs) ->
       List.filter_map
         (fun (k, v) ->
@@ -87,14 +78,14 @@ let parts_field obj =
 
 let parse_manifest line =
   match Json.of_string line with
-  | Error e -> Error ("malformed manifest line: " ^ e)
+  | Error e -> Error ("malformed manifest: " ^ e)
   | Ok obj -> (
       match
-        ( str_field obj "kind",
-          int_field obj "version",
-          str_field obj "tool",
-          str_field obj "hash",
-          int_field obj "jobs" )
+        ( Json.str_field obj "kind",
+          Json.int_field obj "version",
+          Json.str_field obj "tool",
+          Json.str_field obj "hash",
+          Json.int_field obj "jobs" )
       with
       | Some "manifest", Some version, Some tool, Some hash, Some jobs ->
           if version > format_version then
@@ -103,13 +94,17 @@ let parse_manifest line =
                                build understands (%d)"
                  version format_version)
           else Ok { version; tool; hash; jobs; parts = parts_field obj }
-      | _ -> Error "first line is not a journal manifest")
+      | _ -> Error "first record is not a journal manifest")
 
 let parse_record line =
   match Json.of_string line with
   | Error _ -> None
   | Ok obj -> (
-      match (str_field obj "kind", int_field obj "index", field obj "line") with
+      match
+        ( Json.str_field obj "kind",
+          Json.int_field obj "index",
+          Json.field obj "line" )
+      with
       | Some "job", Some index, Some payload -> Some (index, payload)
       | _ -> None)
 
@@ -137,43 +132,28 @@ let explain_mismatch ~journal ~current =
   Printf.sprintf "%s (journal hash %s, this run %s)" what journal.hash
     current.hash
 
+(* Only a torn final frame is a crash artifact; a frame that fails its
+   CRC anywhere is damage, and resuming past it would replay whatever
+   the damage changed. *)
 let read ~path =
-  match
-    let ic = open_in_bin path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  with
-  | exception Sys_error msg -> Error msg
-  | "" -> Error "empty journal"
-  | content ->
-      (* A file not ending in '\n' ends in an interrupted append; that
-         trailing fragment is the only place a malformed line is
-         tolerated. *)
-      let complete = String.length content > 0 && content.[String.length content - 1] = '\n' in
-      let lines =
-        String.split_on_char '\n' content
-        |> List.filter (fun l -> l <> "")
-      in
-      (match lines with
-      | [] -> Error "empty journal"
-      | first :: rest -> (
-          match parse_manifest first with
-          | Error e -> Error e
-          | Ok manifest ->
-              let nrec = List.length rest in
-              let rec records i acc = function
-                | [] -> Ok { manifest; entries = List.rev acc; torn = false }
-                | line :: tl -> (
-                    match parse_record line with
-                    | Some entry -> records (i + 1) (entry :: acc) tl
-                    | None ->
-                        if i = nrec - 1 && not complete then
-                          Ok { manifest; entries = List.rev acc; torn = true }
-                        else
-                          Error
-                            (Printf.sprintf
-                               "corrupt journal: malformed record %d of %d" (i + 1)
-                               nrec))
-              in
-              records 0 [] rest))
+  match Append_log.load ~path with
+  | Error e -> Error e
+  | Ok { Append_log.ending = Corrupt (offset, reason); _ } ->
+      Error (Printf.sprintf "corrupt journal at byte %d: %s" offset reason)
+  | Ok { Append_log.header; records; ending } -> (
+      match parse_manifest header with
+      | Error e -> Error e
+      | Ok manifest ->
+          let nrec = List.length records and torn = ending <> Clean in
+          let rec entries i acc = function
+            | [] -> Ok { manifest; entries = List.rev acc; torn }
+            | payload :: tl -> (
+                match parse_record payload with
+                | Some entry -> entries (i + 1) (entry :: acc) tl
+                | None ->
+                    Error
+                      (Printf.sprintf
+                         "corrupt journal: malformed record %d of %d" (i + 1)
+                         nrec))
+          in
+          entries 0 [] records)

@@ -1,9 +1,9 @@
-(** Crash-safe JSONL journaling for batch runs.
+(** Crash-safe journaling for batch runs.
 
-    A journal is an append-only file: one manifest line, then one
-    record per {e completed} job, each line fsync'd before the append
-    returns — so after a SIGKILL the file holds every job that finished
-    plus at most one torn final line.
+    A journal is an {!Append_log}: one manifest record, then one record
+    per {e completed} job, each a CRC-checked {!Frame} fsync'd before
+    the append returns — so after a SIGKILL the file holds every job
+    that finished plus at most one torn final frame.
 
     The manifest pins what the run {e was}: a content hash over the
     machine model, the scheduling flags, and the corpus bytes
@@ -11,18 +11,20 @@
     journaled records are only byte-reusable against the identical
     inputs and configuration.  Since format version 2 the manifest also
     records the named per-component hashes ([parts]) so the refusal can
-    say which ingredient diverged ({!explain_mismatch}).
+    say which ingredient diverged ({!explain_mismatch}); version 3 moved
+    every record into a frame.
 
-    Record lines are [{"kind":"job","index":I,"line":J}] where [J] is
+    Job records are [{"kind":"job","index":I,"line":J}] where [J] is
     the job's finished report line, stored verbatim; resume replays [J]
     into the final report unchanged, which is what makes a resumed
     report byte-identical to an uninterrupted run's.
 
-    {!read} tolerates exactly one torn record, and only at the end of
-    the file (the interrupted append); a malformed line anywhere else
-    is corruption and an error.  Duplicate indices keep the last
-    record, so a job re-journaled after a resume wins over its earlier
-    self. *)
+    {!read} tolerates exactly one torn frame, and only at the end of
+    the file (the interrupted append).  A frame that fails its CRC, or
+    a verified record that is not a job record, is corruption and an
+    error naming where it is — a damaged record is never replayed.
+    Duplicate indices keep the last record, so a job re-journaled after
+    a resume wins over its earlier self. *)
 
 type manifest = {
   version : int;  (** Journal format version; {!format_version}. *)
@@ -56,14 +58,14 @@ val explain_mismatch : journal:manifest -> current:manifest -> string
 type writer
 
 val create : ?sync_every:int -> path:string -> manifest -> writer
-(** Truncate/create [path] and write the manifest line (fsync'd).
+(** Truncate/create [path] and write the manifest record (fsync'd).
     [sync_every] (default 1) groups fsyncs per {!Append_log}. *)
 
 val reopen : ?sync_every:int -> path:string -> unit -> writer
 (** Open an existing journal for appending (resume); the caller has
-    already validated it with {!read}.  A torn trailing fragment is
-    truncated away first, so the next append starts on its own line
-    and a later resume sees a well-formed file. *)
+    already validated it with {!read}.  A torn final frame is truncated
+    away first, so the next append starts a frame of its own and a
+    later resume sees a well-formed file. *)
 
 val append : writer -> index:int -> Ims_obs.Json.t -> unit
 (** Append one job record (fsync'd per [sync_every]).  Serialize calls
@@ -81,6 +83,7 @@ type recovered = {
 }
 
 val read : path:string -> (recovered, string) result
-(** Parse a journal for resume.  [Error] on unreadable file, missing or
-    malformed manifest, unknown version, or a malformed record line
-    that is not the final one. *)
+(** Parse a journal for resume.  [Error] on an unreadable file, a
+    missing or malformed manifest, an unknown version, a frame that
+    fails its CRC (naming its byte offset), or a record that is not a
+    job record. *)

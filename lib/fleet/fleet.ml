@@ -164,10 +164,10 @@ let spawn ~log ~prog w ~resume =
         (if resume then "resumed" else "started")
         pid)
 
-(* A journal is resumable when it exists, is non-empty, and its
-   manifest parses.  A journal torn inside its manifest line (killed
-   during the very first write) is removed so the shard restarts
-   fresh instead of crash-looping on "cannot resume". *)
+(* A journal is resumable when it exists, is non-empty, and reads
+   back.  One torn inside its manifest (killed during the very first
+   write) or holding a record that fails its CRC is removed, so the
+   shard re-runs fresh instead of crash-looping on "cannot resume". *)
 let resumable ~log w =
   let path = w.spec.journal in
   Sys.file_exists path

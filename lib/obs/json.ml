@@ -52,6 +52,12 @@ let rec to_buffer buf = function
         fields;
       Buffer.add_char buf '}'
 
+let field obj k = match obj with Obj kvs -> List.assoc_opt k kvs | _ -> None
+let int_field obj k = match field obj k with Some (Int i) -> Some i | _ -> None
+
+let str_field obj k =
+  match field obj k with Some (String s) -> Some s | _ -> None
+
 let to_string v =
   let buf = Buffer.create 256 in
   to_buffer buf v;

@@ -19,6 +19,12 @@ type t =
 val to_buffer : Buffer.t -> t -> unit
 val to_string : t -> string
 
+val field : t -> string -> t option
+(** [field obj k] is member [k] of an [Obj], if present. *)
+
+val int_field : t -> string -> int option
+val str_field : t -> string -> string option
+
 val of_string : string -> (t, string) result
 (** A strict parser for the subset this module emits (standard JSON
     minus exponent-heavy corner cases it never produces — though

@@ -1,7 +1,7 @@
 open Ims_obs
 open Ims_exec
 
-let format_version = 1
+let format_version = 2
 let header_kind = "imsc-schedule-cache"
 
 let header_json =
@@ -26,7 +26,7 @@ let policy_of_string = function
 type node = {
   key : string;
   record : string;
-  line_bytes : int;  (* encoded log-line size, the byte-accounting unit *)
+  line_bytes : int;  (* encoded log-record size, the byte-accounting unit *)
   mutable prev : node option;
   mutable next : node option;
 }
@@ -50,22 +50,14 @@ type t = {
   mutable compactions : int;
   mutable loaded : int;
   mutable torn : bool;
+  mutable corrupt : (int * string) option;
 }
-
-let field obj k =
-  match obj with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let str_field obj k =
-  match field obj k with Some (Json.String s) -> Some s | _ -> None
-
-let int_field obj k =
-  match field obj k with Some (Json.Int i) -> Some i | _ -> None
 
 let parse_header line =
   match Json.of_string line with
   | Error e -> Error ("malformed cache header: " ^ e)
   | Ok obj -> (
-      match (str_field obj "kind", int_field obj "version") with
+      match (Json.str_field obj "kind", Json.int_field obj "version") with
       | Some kind, _ when kind <> header_kind ->
           Error (Printf.sprintf "not a schedule cache (kind %S)" kind)
       | Some _, Some v when v > format_version ->
@@ -75,13 +67,13 @@ let parse_header line =
                 (%d)"
                v format_version)
       | Some _, Some _ -> Ok ()
-      | _ -> Error "first line is not a schedule-cache header")
+      | _ -> Error "first record is not a schedule-cache header")
 
 let parse_entry line =
   match Json.of_string line with
   | Error _ -> None
   | Ok obj -> (
-      match (str_field obj "key", str_field obj "record") with
+      match (Json.str_field obj "key", Json.str_field obj "record") with
       | Some key, Some record -> Some (key, record)
       | _ -> None)
 
@@ -89,7 +81,7 @@ let entry_json ~key record =
   Json.Obj [ ("key", Json.String key); ("record", Json.String record) ]
 
 let entry_line_bytes ~key record =
-  String.length (Json.to_string (entry_json ~key record)) + 1
+  Append_log.encoded_bytes (entry_json ~key record)
 
 (* --- linked-list plumbing (all under the caller's lock) -------------------- *)
 
@@ -183,7 +175,7 @@ let needs_compaction t =
 
 (* --- public API -------------------------------------------------------------- *)
 
-let header_line_bytes = String.length (Json.to_string header_json) + 1
+let header_line_bytes = Append_log.encoded_bytes header_json
 
 let open_ ?(capacity = 4096) ?max_bytes ?(policy = Fifo) ?path () =
   let capacity = max 1 capacity in
@@ -207,6 +199,7 @@ let open_ ?(capacity = 4096) ?max_bytes ?(policy = Fifo) ?path () =
       compactions = 0;
       loaded = 0;
       torn = false;
+      corrupt = None;
     }
   in
   match path with
@@ -231,16 +224,21 @@ let open_ ?(capacity = 4096) ?max_bytes ?(policy = Fifo) ?path () =
       else (
         match Append_log.load ~path with
         | Error e -> Error (Printf.sprintf "cannot read cache %s: %s" path e)
-        | Ok { Append_log.header; records; torn } -> (
+        | Ok { Append_log.header; records; ending } -> (
             match parse_header header with
             | Error e -> Error (Printf.sprintf "%s: %s" path e)
             | Ok () ->
                 (* Replay in file order: duplicates are first-wins like
                    [add], capacity evictions replay identically, so the
                    resident set equals what the dying daemon held (minus
-                   any torn tail). *)
+                   a torn tail).  A corrupt frame ends the replay: it and
+                   everything after it are truncated by the reopen, so
+                   those entries recompute instead of being served. *)
                 let t = fresh () in
-                t.torn <- torn;
+                (match ending with
+                | Clean -> ()
+                | Torn _ -> t.torn <- true
+                | Corrupt (at, why) -> t.corrupt <- Some (at, why));
                 List.iter
                   (fun line ->
                     match parse_entry line with
@@ -310,6 +308,7 @@ type stats = {
   log_bytes : int;
   loaded : int;
   torn : bool;
+  corrupt : (int * string) option;
 }
 
 let stats t =
@@ -324,6 +323,7 @@ let stats t =
         log_bytes = t.log_bytes;
         loaded = t.loaded;
         torn = t.torn;
+        corrupt = t.corrupt;
       })
 
 let close t =

@@ -12,7 +12,7 @@
     {2 Bounds}
 
     Residency is bounded two ways: an entry-count [capacity] and an
-    optional byte cap [max_bytes] (measured in encoded log-line bytes,
+    optional byte cap [max_bytes] (measured in encoded log bytes,
     header included — i.e. the size the persistent file compacts down
     to).  Either bound evicts from the cold end of the residency order;
     the [policy] chooses what "cold" means — [Fifo] (insertion age) or
@@ -23,9 +23,12 @@
     {2 Persistence and compaction}
 
     Persistence is an {!Ims_exec.Append_log}: a version header then one
-    fsync'd line per insertion, so a SIGKILLed daemon loses at most the
-    entry being written; {!open_} truncates a torn tail and replays the
-    rest, making a restarted daemon warm.  Eviction makes the
+    fsync'd, CRC-checked {!Ims_exec.Frame} per insertion, so a SIGKILLed
+    daemon loses at most the entry being written.  {!open_} replays the
+    longest valid prefix, making a restarted daemon warm, and truncates
+    whatever follows it — a torn final frame, or a frame that fails its
+    CRC and everything after it — so a damaged entry is recomputed,
+    never served.  Eviction makes the
     append-only file grow past the live set; when the garbage exceeds
     the live bytes (2× + slack) or the file overruns [max_bytes], the
     log is {e compacted}: live entries are rewritten to a temp file in
@@ -86,6 +89,9 @@ type stats = {
   log_bytes : int;  (** Current on-disk log size (0 if memory-only). *)
   loaded : int;  (** Entries replayed from disk at {!open_}. *)
   torn : bool;  (** A torn tail was truncated at {!open_}. *)
+  corrupt : (int * string) option;
+      (** A corrupt frame (byte offset, reason) was found at {!open_};
+          it and everything after it were truncated. *)
 }
 
 val stats : t -> stats

@@ -40,30 +40,21 @@ let request_to_json = function
   | Shutdown { id } ->
       Json.Obj [ ("op", Json.String "shutdown"); ("id", Json.Int id) ]
 
-let field obj k =
-  match obj with Json.Obj kvs -> List.assoc_opt k kvs | _ -> None
-
-let int_field obj k =
-  match field obj k with Some (Json.Int i) -> Some i | _ -> None
-
 let num_field obj k =
-  match field obj k with
+  match Json.field obj k with
   | Some (Json.Int i) -> Some (float_of_int i)
   | Some (Json.Float f) -> Some f
   | _ -> None
 
-let str_field obj k =
-  match field obj k with Some (Json.String s) -> Some s | _ -> None
-
 let bool_field obj k =
-  match field obj k with Some (Json.Bool b) -> Some b | _ -> None
+  match Json.field obj k with Some (Json.Bool b) -> Some b | _ -> None
 
-let id_of obj = Option.value ~default:0 (int_field obj "id")
+let id_of obj = Option.value ~default:0 (Json.int_field obj "id")
 
 let request_of_json obj =
-  match str_field obj "op" with
+  match Json.str_field obj "op" with
   | Some "schedule" -> (
-      match (str_field obj "name", str_field obj "loop") with
+      match (Json.str_field obj "name", Json.str_field obj "loop") with
       | Some name, Some dump ->
           Ok
             (Schedule
@@ -71,11 +62,13 @@ let request_of_json obj =
                  id = id_of obj;
                  name;
                  machine =
-                   Option.value ~default:"cydra5" (str_field obj "machine");
+                   Option.value ~default:"cydra5"
+                     (Json.str_field obj "machine");
                  budget_ratio =
                    Option.value ~default:2.0 (num_field obj "budget_ratio");
                  max_delta_ii =
-                   Option.value ~default:1000 (int_field obj "max_delta_ii");
+                   Option.value ~default:1000
+                     (Json.int_field obj "max_delta_ii");
                  deadline = num_field obj "deadline_s";
                  dump;
                })
@@ -121,9 +114,9 @@ let response_to_json = function
   | Bye { id } -> Json.Obj [ ("kind", Json.String "bye"); ("id", Json.Int id) ]
 
 let response_of_json obj =
-  match str_field obj "kind" with
+  match Json.str_field obj "kind" with
   | Some "report" -> (
-      match (str_field obj "record", bool_field obj "cached") with
+      match (Json.str_field obj "record", bool_field obj "cached") with
       | Some record, Some cached -> Ok (Report { id = id_of obj; cached; record })
       | _ -> Error "report response needs \"record\" and \"cached\"")
   | Some "overloaded" ->
@@ -131,18 +124,18 @@ let response_of_json obj =
         (Overloaded
            {
              id = id_of obj;
-             depth = Option.value ~default:0 (int_field obj "depth");
-             capacity = Option.value ~default:0 (int_field obj "capacity");
+             depth = Option.value ~default:0 (Json.int_field obj "depth");
+             capacity = Option.value ~default:0 (Json.int_field obj "capacity");
            })
   | Some "error" ->
       Ok
         (Error
            {
              id = id_of obj;
-             message = Option.value ~default:"?" (str_field obj "error");
+             message = Option.value ~default:"?" (Json.str_field obj "error");
            })
   | Some "stats" -> (
-      match field obj "metrics" with
+      match Json.field obj "metrics" with
       | Some metrics -> Ok (Stats_reply { id = id_of obj; metrics })
       | None -> Error "stats response needs \"metrics\"")
   | Some "bye" -> Ok (Bye { id = id_of obj })

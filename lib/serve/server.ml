@@ -165,9 +165,17 @@ let run config ~machine_of ~log =
           Error e
       | Ok lfd ->
           let loaded = Cache.stats cache in
+          let file = Option.value ~default:"?" config.cache_file in
+          Option.iter
+            (fun (offset, reason) ->
+              Log.warn log
+                "cache: corrupt entry at byte %d of %s (%s); truncated \
+                 there, later entries will recompute"
+                offset file reason)
+            loaded.Cache.corrupt;
           if loaded.Cache.loaded > 0 || loaded.Cache.torn then
             Log.info log "cache: %d entries warm from %s%s" loaded.Cache.entries
-              (Option.value ~default:"?" config.cache_file)
+              file
               (if loaded.Cache.torn then " (torn tail truncated)" else "");
           let t0 = U.gettimeofday () in
           let send conn resp =

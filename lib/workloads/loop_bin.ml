@@ -4,15 +4,10 @@ open Ims_ir
 (* Binary loop wire format.
 
    A corpus file is a fixed 8-byte header — 4-byte magic "ILBC" plus a
-   little-endian u32 format version — followed by length-prefixed
-   records.  Each record frame is
-
-     u32 payload_length | u32 crc32(payload) | payload
-
-   so a reader can skip, shard or stream without decoding, and a torn
-   or bit-flipped record is rejected with the byte offset of the
-   damage, mirroring Append_log's torn-tail discipline on the journal
-   side.
+   little-endian u32 format version — followed by one Ims_exec.Frame
+   per record (u32 length | u32 crc32 | payload), so a reader can skip,
+   shard or stream without decoding, and a torn or bit-flipped record
+   is rejected with the byte offset of the damage.
 
    The payload encodes one named loop at the builder-DSL level: the
    operation list (opcode, dsts, srcs with iteration distances,
@@ -38,39 +33,10 @@ let () =
 let magic = "ILBC"
 let format_version = 1
 let header_bytes = 8
-let frame_bytes = 8
 
-(* Corrupt length words must not trigger giant allocations: no sane
-   loop record approaches this. *)
-let max_record_bytes = 1 lsl 24
-
-(* CRC-32 (IEEE 802.3, the zlib polynomial), table-driven. *)
-let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref (Int32.of_int n) in
-         for _ = 0 to 7 do
-           c :=
-             if Int32.logand !c 1l <> 0l then
-               Int32.logxor 0xedb88320l (Int32.shift_right_logical !c 1)
-             else Int32.shift_right_logical !c 1
-         done;
-         !c))
-
-let crc32 s =
-  let t = Lazy.force crc_table in
-  let c = ref 0xffffffffl in
-  String.iter
-    (fun ch ->
-      let i =
-        Int32.to_int
-          (Int32.logand
-             (Int32.logxor !c (Int32.of_int (Char.code ch)))
-             0xffl)
-      in
-      c := Int32.logxor t.(i) (Int32.shift_right_logical !c 8))
-    s;
-  Int32.logxor !c 0xffffffffl
+(* Corrupt count fields must not trigger giant allocations: no sane
+   loop record approaches the frame's payload cap. *)
+let max_record_bytes = Ims_exec.Frame.max_payload
 
 (* -- encoding ------------------------------------------------------- *)
 
@@ -318,10 +284,7 @@ let create_writer path =
   { oc; wbuf }
 
 let write w ~name ddg =
-  let payload = encode ~name ddg in
-  add_u32 w.wbuf (String.length payload);
-  Buffer.add_int32_le w.wbuf (crc32 payload);
-  Buffer.add_string w.wbuf payload;
+  Ims_exec.Frame.add w.wbuf (encode ~name ddg);
   (* Flush in coarse chunks: the stream is append-only and readers only
      consume completed files, so buffering is purely a syscall saver. *)
   if Buffer.length w.wbuf >= 1 lsl 16 then begin
@@ -334,108 +297,52 @@ let close_writer w =
   Buffer.clear w.wbuf;
   close_out w.oc
 
-(* -- streaming cursor ----------------------------------------------- *)
+(* -- streaming reads ------------------------------------------------ *)
 
-type record = {
-  index : int;  (** 0-based position of the record in its file. *)
-  offset : int;  (** Absolute byte offset of the record's frame. *)
-  name : string;
-  payload : string;
-}
-
-type cursor = {
-  ic : in_channel;
-  mutable off : int;
-  mutable idx : int;
-}
-
-let read_exact ic buf n =
-  (* [really_input] raises on EOF; we need the partial count. *)
-  let got = ref 0 in
-  (try
-     while !got < n do
-       let k = input ic buf !got (n - !got) in
-       if k = 0 then raise Exit else got := !got + k
-     done
-   with Exit | End_of_file -> ());
-  !got
+type record = { index : int; offset : int; name : string; payload : string }
 
 let open_corpus path =
   let ic = open_in_bin path in
-  let hdr = Bytes.create header_bytes in
-  let got = read_exact ic hdr header_bytes in
-  if got < header_bytes then begin
-    close_in ic;
-    corrupt got "truncated header (need %d bytes, have %d)" header_bytes
-      got
-  end;
-  if Bytes.sub_string hdr 0 4 <> magic then begin
-    close_in ic;
-    corrupt 0 "bad magic %S (want %S)" (Bytes.sub_string hdr 0 4) magic
-  end;
-  let version = Int32.to_int (Bytes.get_int32_le hdr 4) in
-  if version <> format_version then begin
-    close_in ic;
-    corrupt 4 "unsupported format version %d (this build reads %d)"
-      version format_version
-  end;
-  { ic; off = header_bytes; idx = 0 }
-
-let close_cursor c = close_in c.ic
-
-let next c =
-  let frame = Bytes.create frame_bytes in
-  match read_exact c.ic frame frame_bytes with
-  | 0 -> None
-  | got when got < frame_bytes ->
-      corrupt c.off "truncated record frame (need %d bytes, have %d)"
-        frame_bytes got
-  | _ ->
-      let len = Int32.to_int (Bytes.get_int32_le frame 0) in
-      if len < 0 || len > max_record_bytes then
-        corrupt c.off "implausible record length %d" len;
-      let stored_crc = Bytes.get_int32_le frame 4 in
-      let payload = Bytes.create len in
-      let got = read_exact c.ic payload len in
-      if got < len then
-        corrupt
-          (c.off + frame_bytes)
-          "truncated record payload (need %d bytes, have %d)" len got;
-      let payload = Bytes.unsafe_to_string payload in
-      if crc32 payload <> stored_crc then
-        corrupt
-          (c.off + frame_bytes)
-          "CRC mismatch on record %d (stored %08lx, computed %08lx)"
-          c.idx stored_crc (crc32 payload);
-      (* The name prefixes the payload; records can be routed by name
-         and index without paying for a full decode. *)
-      let name =
-        let r = { s = payload; base = c.off + frame_bytes; pos = 0 } in
-        get_str16 r "loop name"
-      in
-      let rec_ =
-        { index = c.idx; offset = c.off; name; payload }
-      in
-      c.off <- c.off + frame_bytes + len;
-      c.idx <- c.idx + 1;
-      Some rec_
+  match
+    let got = min header_bytes (in_channel_length ic) in
+    if got < header_bytes then
+      corrupt got "truncated header (need %d bytes, have %d)" header_bytes
+        got;
+    let hdr = really_input_string ic header_bytes in
+    if String.sub hdr 0 4 <> magic then
+      corrupt 0 "bad magic %S (want %S)" (String.sub hdr 0 4) magic;
+    let version = Int32.to_int (String.get_int32_le hdr 4) in
+    if version <> format_version then
+      corrupt 4 "unsupported format version %d (this build reads %d)"
+        version format_version
+  with
+  | () -> ic
+  | exception e ->
+      close_in ic;
+      raise e
 
 let decode_record machine (r : record) =
-  decode ~base:(r.offset + frame_bytes) machine r.payload
+  decode ~base:(r.offset + Ims_exec.Frame.header_bytes) machine r.payload
 
 let iter path f =
-  let c = open_corpus path in
+  let ic = open_corpus path in
   Fun.protect
-    ~finally:(fun () -> close_cursor c)
+    ~finally:(fun () -> close_in ic)
     (fun () ->
-      let n = ref 0 in
-      let rec go () =
-        match next c with
-        | None -> ()
-        | Some r ->
-            f r;
-            incr n;
-            go ()
+      let frames = Ims_exec.Frame.reader ic in
+      let rec go index =
+        match Ims_exec.Frame.next frames with
+        | Some (offset, payload) ->
+            (* The name prefixes the payload; records can be routed by
+               name and index without paying for a full decode. *)
+            let base = offset + Ims_exec.Frame.header_bytes in
+            let name = get_str16 { s = payload; base; pos = 0 } "loop name" in
+            f { index; offset; name; payload };
+            go (index + 1)
+        | None -> (
+            match Ims_exec.Frame.ending frames with
+            | Clean -> index
+            | Torn (offset, reason) | Corrupt (offset, reason) ->
+                raise (Corrupt { offset; reason }))
       in
-      go ();
-      !n)
+      go 0)

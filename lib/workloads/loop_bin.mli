@@ -1,11 +1,10 @@
 (** Versioned binary loop wire format.
 
     A corpus file is an 8-byte header (magic ["ILBC"], little-endian
-    u32 format version) followed by length-prefixed records, each
-    framed as [u32 payload_length | u32 crc32 | payload].  Torn or
-    bit-flipped records are rejected with {!Corrupt} carrying the byte
-    offset of the damage — the streaming analogue of [Append_log]'s
-    torn-tail truncation.
+    u32 format version) followed by one {!Ims_exec.Frame} per record
+    ([u32 payload_length | u32 crc32 | payload]).  Torn or bit-flipped
+    records are rejected with {!Corrupt} carrying the byte offset of
+    the damage.
 
     The payload carries one named loop at the builder-DSL level:
     operations plus exactly the dependence edges {!Loop_dump.derivable}
@@ -27,12 +26,6 @@ val format_version : int
 
 val header_bytes : int
 (** Size of the file header (magic + version). *)
-
-val frame_bytes : int
-(** Size of a record's frame prefix (length + CRC). *)
-
-val crc32 : string -> int32
-(** CRC-32 (IEEE 802.3) of a string; exposed for tests. *)
 
 val encode : name:string -> Ddg.t -> string
 (** One record payload (no frame).
@@ -63,23 +56,17 @@ type record = {
   payload : string;
 }
 
-type cursor
-
-val open_corpus : string -> cursor
-(** Validates magic and version.
+val open_corpus : string -> in_channel
+(** Opens a corpus positioned at its first record.
     @raise Corrupt on a truncated header, bad magic (offset 0) or a
     version this build does not read (offset 4). *)
-
-val next : cursor -> record option
-(** The next CRC-checked record, or [None] at a clean end of file.
-    @raise Corrupt on a torn frame, truncated payload or CRC mismatch,
-    with the offending absolute byte offset. *)
-
-val close_cursor : cursor -> unit
 
 val decode_record : Machine.t -> record -> string * Ddg.t
 (** {!decode} with {!Corrupt} offsets rebased to the record's position
     in its file. *)
 
 val iter : string -> (record -> unit) -> int
-(** Streams every record through [f]; returns the record count. *)
+(** Streams every CRC-checked record through [f]; returns the record
+    count.
+    @raise Corrupt on a bad header, a torn frame or a CRC mismatch,
+    with the offending absolute byte offset. *)

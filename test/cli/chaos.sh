@@ -123,8 +123,9 @@ wait "$DAEMON_PID" || true
 DAEMON_PID=""
 test "$(wc -c < bounded.cache)" -le "$CAP"
 
-# What a SIGKILL mid-append leaves behind: a final line with no newline.
-printf '{"key":"torn","record":"{}' >> bounded.cache
+# What a SIGKILL mid-append leaves behind: a frame cut short (its
+# header announces 64 payload bytes; only 13 follow).
+printf '\100\000\000\000\000\000\000\000{"key":"torn"' >> bounded.cache
 
 "$IMSC" serve --socket "$SOCK" --jobs 1 --cache bounded.cache \
   --cache-max-bytes "$CAP" --cache-policy lru 2> serve-bounded2.stderr &

@@ -9,7 +9,10 @@
 #      restarts it with --resume from its fsync'd journal, and the
 #      merged report is STILL byte-identical to the clean run;
 #   4. the merged status file ends with "running":false and the
-#      restart is visible in the fleet diagnostics.
+#      restart is visible in the fleet diagnostics;
+#   5. one changed byte mid-file in a finished run's shard journal:
+#      --resume discards that journal (its CRC check fails), re-runs
+#      the shard, and the merged report is still byte-identical.
 set -eu
 
 IMSC="$1"
@@ -75,5 +78,17 @@ cmp single.jsonl fleet-chaos.jsonl
 
 grep -q '"running":false' fleet-status.json
 grep -q "restart" fleet-chaos.stderr
+
+# --- 5. a damaged shard journal is re-run, not replayed --------------------
+
+REC=$(grep -abo '{"kind":"job"' run2/shard-1.journal | sed -n 100p \
+  | cut -d: -f1)
+printf 'X' | dd of=run2/shard-1.journal bs=1 seek=$((REC + 40)) conv=notrunc \
+  2> /dev/null
+"$IMSC" fleet --corpus corpus.ilb --workers 2 --dir run2 --resume \
+  --report fleet-healed.jsonl 2> fleet-healed.stderr
+cmp single.jsonl fleet-healed.jsonl
+grep -q "discarding unusable journal.*corrupt journal at byte $REC" \
+  fleet-healed.stderr
 
 echo "fleet chaos gate: OK"

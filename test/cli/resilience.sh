@@ -13,7 +13,10 @@
 #   6. a flaky loop (injected transient fault) must be retried to
 #      success and leave the report identical to the clean run;
 #   7. --max-failures must cancel the outstanding loops through the
-#      run-level token.
+#      run-level token;
+#   8. a journal with one changed byte in a mid-file record must be
+#      refused, naming the damaged record's byte offset — its CRC no
+#      longer matches, so the record is never replayed.
 set -eu
 
 IMSC="$1"
@@ -31,11 +34,17 @@ test "$(wc -l < clean.jsonl)" -eq 8
 
 # --- 2. torn-journal resume ------------------------------------------------
 
-# Keep the manifest plus four complete records, then append the first
-# 25 bytes of the fifth record with no newline — exactly what a SIGKILL
-# during the fsync'd append leaves behind.
-head -n 5 clean.journal > torn.journal
-sed -n '6p' clean.journal | cut -c1-25 | tr -d '\n' >> torn.journal
+# Offsets of the job records' JSON payloads; each record's frame
+# (u32 length, u32 crc32) starts 8 bytes earlier.
+job_offset() {
+  grep -abo '{"kind":"job"' "$1" | sed -n "${2}p" | cut -d: -f1
+}
+
+# Keep the manifest plus four complete records, then the first 25
+# bytes of the fifth record's frame — exactly what a SIGKILL during
+# the fsync'd append leaves behind.
+head -c $(( $(job_offset clean.journal 5) - 8 + 25 )) clean.journal \
+  > torn.journal
 
 "$IMSC" batch rcorpus --jobs 2 --resume torn.journal \
   --report resumed.jsonl 2> resumed.stderr
@@ -108,3 +117,26 @@ grep -q '"status":"failed"' failfast.jsonl
 test "$(grep -c '"status":"cancelled"' failfast.jsonl)" -eq 8
 # Fail-fast must not skip the final "running":false heartbeat either.
 grep -q '"running":false' failfast-status.json
+
+# --- 8. a damaged mid-file record is refused by byte offset ----------------
+
+# Change the first "ii" digit of the second job record, as bit rot or a
+# stray edit would: the report line still parses, but the frame's CRC
+# no longer matches, so resume must refuse instead of replaying it.
+REC=$(job_offset clean.journal 2)
+II=$(grep -abo '"ii":[0-9]' clean.journal \
+  | awk -F: -v r="$REC" '$1 > r { print $1 + 5; exit }')
+D=$(dd if=clean.journal bs=1 skip="$II" count=1 2> /dev/null)
+cp clean.journal damaged.journal
+printf '%s' $(( (D + 1) % 10 )) \
+  | dd of=damaged.journal bs=1 seek="$II" conv=notrunc 2> /dev/null
+if cmp -s clean.journal damaged.journal; then
+  echo "the damage must change the journal" >&2
+  exit 1
+fi
+if "$IMSC" batch rcorpus --jobs 1 --resume damaged.journal \
+     --report damaged.jsonl 2> damaged.stderr; then
+  echo "resume from a damaged journal must fail" >&2
+  exit 1
+fi
+grep -q "corrupt journal at byte $REC" damaged.stderr

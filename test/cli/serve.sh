@@ -9,7 +9,10 @@
 #      from cache byte-identically, reports the hits in --stats, and a
 #      graceful shutdown publishes the final metrics and
 #      "running":false status and removes the socket;
-#   5. a flooded 1-deep queue answers with structured overloaded
+#   5. one changed byte inside a cached record: the restarted daemon
+#      truncates the cache at that record, recomputes it (a miss) and
+#      still answers byte-identically to batch;
+#   6. a flooded 1-deep queue answers with structured overloaded
 #      responses (backpressure), and a per-request deadline preempts a
 #      hung request mid-spin.
 set -eu
@@ -83,8 +86,9 @@ cmp batch.jsonl warm2.jsonl
 kill -9 "$DAEMON_PID"
 wait "$DAEMON_PID" 2> /dev/null || true
 DAEMON_PID=""
-# What a SIGKILL mid-append leaves behind: a final line with no newline.
-printf '{"key":"torn","record":"{}' >> sched.cache
+# What a SIGKILL mid-append leaves behind: a frame cut short (its
+# header announces 64 payload bytes; only 13 follow).
+printf '\100\000\000\000\000\000\000\000{"key":"torn"' >> sched.cache
 
 "$IMSC" serve --socket "$SOCK" --jobs 2 --cache sched.cache \
   --status-file serve-status.json --metrics serve-metrics.json \
@@ -108,7 +112,28 @@ test ! -e "$SOCK"
 grep -q '"running":false' serve-status.json
 grep -q '"serve.cache_hits":6' serve-metrics.json
 
-# --- 5. backpressure and per-request deadlines ------------------------------
+# --- 5. a damaged cache record is recomputed, never served -----------------
+
+# The first six cache records are scorpus's loops (its cold request ran
+# first).  Change one byte inside the third one's record body.
+REC=$(grep -abo '{"key":"' sched.cache | sed -n 3p | cut -d: -f1)
+printf 'X' | dd of=sched.cache bs=1 seek=$((REC + 80)) conv=notrunc 2> /dev/null
+
+"$IMSC" serve --socket "$SOCK" --jobs 2 --cache sched.cache \
+  2> serve4.stderr &
+DAEMON_PID=$!
+
+"$IMSC" request scorpus --socket "$SOCK" --report served4.jsonl 2> req4.stderr
+cmp batch.jsonl served4.jsonl
+# Only the two records before the damage hit; the damaged one misses.
+grep -q "2 of 6 loop(s) served from cache" req4.stderr
+grep -q "corrupt entry at byte $REC" serve4.stderr
+
+"$IMSC" request --socket "$SOCK" --shutdown 2> /dev/null
+wait "$DAEMON_PID" 2> /dev/null || true
+DAEMON_PID=""
+
+# --- 6. backpressure and per-request deadlines ------------------------------
 
 "$IMSC" serve --socket "$SOCK" --jobs 1 --queue 1 \
   --inject-spin "lfk09.loop:20" 2> serve3.stderr &

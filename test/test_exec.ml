@@ -3,6 +3,7 @@
    soft timeouts, the chunked work queue, and telemetry shard merging. *)
 
 open Ims_exec
+open Ims_par
 open Ims_workloads
 
 let machine = Ims_machine.Machine.cydra5 ()

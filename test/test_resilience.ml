@@ -318,9 +318,13 @@ let test_journal_tolerates_torn_tail () =
   let w = Journal.create ~path (manifest "h" 2) in
   Journal.append w ~index:0 (Json.Obj [ ("ok", Json.Bool true) ]);
   Journal.close w;
-  (* Simulate a SIGKILL mid-append: a record prefix with no newline. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"kind\":\"job\",\"index\":1,\"li";
+  (* Simulate a SIGKILL mid-append: the first 25 bytes of a record's
+     frame. *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc
+    (String.sub
+       (Frame.encode "{\"kind\":\"job\",\"index\":1,\"line\":{}}")
+       0 25);
   close_out oc;
   (match Journal.read ~path with
   | Error msg -> Alcotest.failf "torn tail must be tolerated: %s" msg
@@ -328,8 +332,8 @@ let test_journal_tolerates_torn_tail () =
       Alcotest.(check bool) "torn reported" true r.Journal.torn;
       Alcotest.(check (list int)) "intact records kept" [ 0 ]
         (List.map fst r.Journal.entries));
-  (* Reopen must truncate the fragment, or the next append would fuse
-     with it into one corrupt line and poison a second resume. *)
+  (* Reopen must truncate the fragment, or the next append would land
+     behind a frame no reader gets past and poison a second resume. *)
   let w = Journal.reopen ~path () in
   Journal.append w ~index:1 (Json.Obj [ ("ok", Json.Bool true) ]);
   Journal.close w;
@@ -342,30 +346,50 @@ let test_journal_tolerates_torn_tail () =
         (List.map fst r.Journal.entries));
   Sys.remove path
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
 let test_journal_rejects_midfile_corruption () =
   let path = temp_path "corrupt" in
   let w = Journal.create ~path (manifest "h" 2) in
   Journal.append w ~index:0 (Json.Obj [ ("ok", Json.Bool true) ]);
   Journal.close w;
-  (* A torn line that is NOT final (a complete record follows) is
-     corruption, not a crash artifact. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "garbage not json\n";
-  output_string oc "{\"kind\":\"job\",\"index\":1,\"line\":{}}\n";
+  (* A complete frame whose payload no longer matches its CRC, with a
+     good record after it, is damage, not a crash artifact: the read
+     must fail and name the damaged payload's byte offset. *)
+  let at = (Unix.stat path).Unix.st_size + Frame.header_bytes in
+  let bad =
+    Bytes.of_string (Frame.encode "{\"kind\":\"job\",\"index\":1,\"line\":{}}")
+  in
+  Bytes.set bad (Bytes.length bad - 2) '7';
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_bytes oc bad;
+  output_string oc (Frame.encode "{\"kind\":\"job\",\"index\":2,\"line\":{}}");
   close_out oc;
   (match Journal.read ~path with
-  | Error _ -> ()
+  | Error msg ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error names byte %d (%s)" at msg)
+        true
+        (contains msg (Printf.sprintf "byte %d" at))
   | Ok _ -> Alcotest.fail "mid-file corruption must be rejected");
   Sys.remove path
 
 let test_journal_rejects_future_version () =
   (* [create] always stamps the current format version, so a future
-     journal has to be forged by hand. *)
+     journal has to be forged by hand — in a valid frame, so the read
+     gets as far as the version check. *)
   let path = temp_path "version" in
-  let oc = open_out path in
-  Printf.fprintf oc
-    "{\"kind\":\"manifest\",\"version\":%d,\"tool\":\"test\",\"hash\":\"h\",\"jobs\":1}\n"
-    (Journal.format_version + 1);
+  let oc = open_out_bin path in
+  output_string oc
+    (Frame.encode
+       (Printf.sprintf
+          "{\"kind\":\"manifest\",\"version\":%d,\"tool\":\"test\",\"hash\":\"h\",\"jobs\":1}"
+          (Journal.format_version + 1)));
   close_out oc;
   (match Journal.read ~path with
   | Error _ -> ()

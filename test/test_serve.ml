@@ -425,9 +425,12 @@ let test_cache_torn_tail_truncated () =
   | Ok c ->
       Serve.Cache.add c ~key:"good" "{\"ii\":2}";
       Serve.Cache.close c);
-  (* A SIGKILL mid-append leaves a final line without its newline. *)
-  let oc = open_out_gen [ Open_append ] 0o644 path in
-  output_string oc "{\"key\":\"torn\",\"record\":\"{}\"";
+  (* A SIGKILL mid-append leaves the first bytes of a frame. *)
+  let oc = open_out_gen [ Open_append; Open_binary ] 0o644 path in
+  output_string oc
+    (String.sub
+       (Exec.Frame.encode "{\"key\":\"torn\",\"record\":\"{}\"}")
+       0 20);
   close_out oc;
   match Serve.Cache.open_ ~capacity:8 ~path () with
   | Error e -> Alcotest.fail e
@@ -454,25 +457,46 @@ let test_cache_torn_tail_truncated () =
             (Serve.Cache.stats c2).Serve.Cache.loaded;
           Serve.Cache.close c2)
 
+let contains hay needle =
+  let n = String.length needle in
+  let rec go i =
+    i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+  in
+  go 0
+
 let test_cache_refuses_foreign_files () =
   let path = tmp_file ".cache" in
   let write s =
-    let oc = open_out path in
+    let oc = open_out_bin path in
     output_string oc s;
     close_out oc
   in
-  write "{\"kind\":\"imsc-batch-journal\",\"version\":1}\n";
-  (match Serve.Cache.open_ ~path () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a foreign kind must be refused");
-  write "{\"kind\":\"imsc-schedule-cache\",\"version\":99}\n";
-  (match Serve.Cache.open_ ~path () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a newer format version must be refused");
-  write "not json\n";
-  match Serve.Cache.open_ ~path () with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "a corrupt header must be refused"
+  (* Each header is a valid frame, so the refusal comes from the check
+     the case names, not from the framing. *)
+  let refused what s =
+    write s;
+    match Serve.Cache.open_ ~path () with
+    | Error e -> e
+    | Ok _ -> Alcotest.failf "%s must be refused" what
+  in
+  let e =
+    refused "a foreign kind"
+      (Exec.Frame.encode "{\"kind\":\"imsc-batch-journal\",\"version\":1}")
+  in
+  Alcotest.(check bool)
+    ("names the kind: " ^ e) true
+    (contains e "not a schedule cache");
+  let e =
+    refused "a newer format version"
+      (Exec.Frame.encode "{\"kind\":\"imsc-schedule-cache\",\"version\":99}")
+  in
+  Alcotest.(check bool)
+    ("names the version: " ^ e) true (contains e "version 99");
+  ignore (refused "a corrupt header" (Exec.Frame.encode "not json"));
+  (* A pre-frame text cache has no valid header frame at all. *)
+  ignore
+    (refused "an unframed file"
+       "{\"kind\":\"imsc-schedule-cache\",\"version\":1}\n")
 
 let test_cache_concurrent_inserts () =
   match Serve.Cache.open_ ~capacity:128 () with
@@ -654,6 +678,122 @@ let test_cache_online_compaction_bounds_log () =
         (Serve.Cache.find c ~key:"k9");
       Serve.Cache.close c
 
+(* --- frame damage ----------------------------------------------------------- *)
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+(* [(offset, length)] of every frame in a clean file. *)
+let frame_spans path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () ->
+      let r = Exec.Frame.reader ic in
+      let rec go acc =
+        match Exec.Frame.next r with
+        | Some (off, payload) ->
+            go ((off, Exec.Frame.header_bytes + String.length payload) :: acc)
+        | None -> List.rev acc
+      in
+      go [])
+
+let n_records = 6
+
+(* A journal and a cache of [n_records] records each, written once
+   through their real APIs; the property damages copies. *)
+let damage_fixtures =
+  lazy
+    (let journal = tmp_file ".journal" and cache = tmp_file ".cache" in
+     let w =
+       Exec.Journal.create ~path:journal
+         {
+           Exec.Journal.version = Exec.Journal.format_version;
+           tool = "test";
+           hash = "h";
+           jobs = n_records;
+           parts = [];
+         }
+     in
+     for i = 0 to n_records - 1 do
+       Exec.Journal.append w ~index:i (Json.Obj [ ("ii", Json.Int (16 + i)) ])
+     done;
+     Exec.Journal.close w;
+     Sys.remove cache;
+     (match Serve.Cache.open_ ~path:cache () with
+     | Error e -> failwith e
+     | Ok c ->
+         for i = 0 to n_records - 1 do
+           Serve.Cache.add c ~key:(Printf.sprintf "k%d" i)
+             (Printf.sprintf "{\"ii\":%d}" (16 + i))
+         done;
+         Serve.Cache.close c);
+     List.map
+       (fun path ->
+         (read_file path, Array.of_list (List.tl (frame_spans path))))
+       [ journal; cache ])
+
+(* Flip one byte after the header frame; return the damaged copy's path
+   and the index of the record whose frame holds the flipped byte. *)
+let damaged (bytes, spans) ~pick ~mask =
+  let first = fst spans.(0) in
+  let at = first + (pick mod (String.length bytes - first)) in
+  let b = Bytes.of_string bytes in
+  Bytes.set b at (Char.chr (Char.code (Bytes.get b at) lxor mask));
+  let path = tmp_file ".damaged" in
+  write_file path (Bytes.to_string b);
+  let k = ref 0 in
+  Array.iteri (fun i (off, _) -> if off <= at then k := i) spans;
+  (path, !k, spans.(!k))
+
+(* Any single-byte flip past the header is either refused with an
+   offset inside the damaged frame or cuts the stream just before it —
+   a changed record is never replayed, a changed body never served. *)
+let prop_single_byte_flip_detected =
+  QCheck.Test.make ~count:300 ~name:"frame: any single-byte flip is detected"
+    QCheck.(pair (int_bound 1_000_000) (int_range 1 255))
+    (fun (pick, mask) ->
+      match Lazy.force damage_fixtures with
+      | [ journal; cache ] ->
+          let path, k, (off, len) = damaged journal ~pick ~mask in
+          let journal_ok =
+            match Exec.Journal.read ~path with
+            | Error msg -> (
+                match Scanf.sscanf msg "corrupt journal at byte %d" Fun.id with
+                | at -> off <= at && at < off + len
+                | exception _ -> false)
+            | Ok r ->
+                r.Exec.Journal.torn
+                && r.Exec.Journal.entries
+                   = List.init k (fun i ->
+                         (i, Json.Obj [ ("ii", Json.Int (16 + i)) ]))
+          in
+          let path, k, _ = damaged cache ~pick ~mask in
+          let cache_ok =
+            match Serve.Cache.open_ ~path () with
+            | Error _ -> false
+            | Ok c ->
+                let served =
+                  List.init n_records (fun i ->
+                      Serve.Cache.find c ~key:(Printf.sprintf "k%d" i))
+                in
+                Serve.Cache.close c;
+                served
+                = List.init n_records (fun i ->
+                      if i < k then Some (Printf.sprintf "{\"ii\":%d}" (16 + i))
+                      else None)
+          in
+          journal_ok && cache_ok
+      | _ -> assert false)
+
 (* --- chaos ------------------------------------------------------------------- *)
 
 let test_chaos_spec_parsing () =
@@ -799,6 +939,7 @@ let tests =
         test_cache_compaction_equivalence;
       Alcotest.test_case "cache: online compaction bounds the log" `Quick
         test_cache_online_compaction_bounds_log;
+      QCheck_alcotest.to_alcotest prop_single_byte_flip_detected;
       Alcotest.test_case "chaos: spec parsing and zero-prob pass" `Quick
         test_chaos_spec_parsing;
       Alcotest.test_case "chaos: seeded draws are deterministic" `Quick
