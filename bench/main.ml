@@ -325,8 +325,9 @@ let measure_case ?trace ~budget_ratio (case : Suite.case) =
   }
 
 (* --journal FILE / --resume FILE: crash-safe journaling of the measure
-   phase (the dominant cost of a full run).  One fsync'd JSONL record
-   per measured loop; --resume replays journaled records (the suite
+   phase (the dominant cost of a full run), through the same run driver
+   as imsc batch (Ims_exec.Run).  One fsync'd journal record per
+   measured loop; --resume replays journaled records (the suite
    cases are regenerated deterministically, so a record is keyed by its
    index) and measures only the rest, losing at most one loop of work
    to a crash.  The manifest pins suite size, quickness, budget, and
@@ -356,20 +357,15 @@ let record_to_json r =
 
 let record_of_json (case : Suite.case) j =
   let open Ims_obs in
-  let kvs =
-    match j with
-    | Json.Obj kvs -> kvs
-    | _ -> failwith "bench: malformed journal record"
-  in
   let int k =
-    match List.assoc_opt k kvs with
-    | Some (Json.Int v) -> v
-    | _ -> failwith (Printf.sprintf "bench: journal record missing %S" k)
+    match Json.int_field j k with
+    | Some v -> v
+    | None -> failwith (Printf.sprintf "bench: journal record missing %S" k)
   in
   let counters =
     (* [Counters.of_assoc] owns the key list — the journal schema tracks
        the canonical field table automatically. *)
-    match List.assoc_opt "counters" kvs with
+    match Json.field j "counters" with
     | Some (Json.Obj cs) ->
         Counters.of_assoc
           (List.filter_map
@@ -378,7 +374,7 @@ let record_of_json (case : Suite.case) j =
     | _ -> Counters.create ()
   in
   let scc_sizes =
-    match List.assoc_opt "scc_sizes" kvs with
+    match Json.field j "scc_sizes" with
     | Some (Json.List l) ->
         List.map (function Json.Int v -> v | _ -> 0) l
     | _ -> []
@@ -425,80 +421,33 @@ let measure_job (shard : Ims_exec.Shard.t) case =
   r
 
 let measure_records ?profile ?progress cases =
-  match (opts.journal, opts.resume) with
-  | None, None ->
-      let outcomes, _, _ =
-        Ims_exec.Exec.run ~jobs ?profile ?progress ~timer:Unix.gettimeofday
-          ~f:measure_job cases
-      in
-      List.mapi (fun i o -> Ims_exec.Outcome.get ~job:i o) outcomes
-  | _ ->
-      let module J = Ims_exec.Journal in
-      let hash = Lazy.force measure_manifest_hash in
-      let n = List.length cases in
-      let completed : (int, Ims_obs.Json.t) Hashtbl.t = Hashtbl.create 97 in
-      (match opts.resume with
-      | None -> ()
-      | Some path -> (
-          match J.read ~path with
-          | Error msg -> failwith ("bench: cannot resume: " ^ msg)
-          | Ok r ->
-              if r.J.manifest.J.tool <> "bench-measure" then
-                failwith
-                  (Printf.sprintf "bench: %s is a %S journal, not a \
-                                   bench-measure one" path r.J.manifest.J.tool);
-              if r.J.manifest.J.hash <> hash then
-                failwith
-                  (Printf.sprintf
-                     "bench: manifest mismatch: journal %s was written with \
-                      a different suite, flags, or machine — refusing to \
-                      reuse its results"
-                     path);
-              if r.J.torn then
-                Ims_obs.Log.warn log "ignoring torn final record in %s" path;
-              List.iter
-                (fun (i, line) ->
-                  if i >= 0 && i < n then Hashtbl.replace completed i line)
-                r.J.entries;
-              Ims_obs.Log.info log
-                "resuming — %d of %d loop(s) already journaled"
-                (Hashtbl.length completed) n));
-      let writer =
-        match (opts.resume, opts.journal) with
-        | Some path, _ -> J.reopen ~path ()
-        | None, Some path ->
-            J.create ~path
-              { J.version = J.format_version; tool = "bench-measure"; hash;
-                jobs = n; parts = [] }
-        | None, None -> assert false
-      in
-      let indexed = List.mapi (fun i c -> (i, c)) cases in
-      let pending =
-        List.filter (fun (i, _) -> not (Hashtbl.mem completed i)) indexed
-      in
-      let pending_arr = Array.of_list pending in
-      let outcomes, _, _ =
-        Ims_exec.Exec.run ~jobs ?profile ?progress ~timer:Unix.gettimeofday
-          ~on_result:(fun i outcome ->
-            match outcome with
-            | Ims_exec.Outcome.Done r ->
-                J.append writer ~index:(fst pending_arr.(i)) (record_to_json r)
-            | _ -> ())
-          ~f:(fun shard (_, case) -> measure_job shard case)
-          pending
-      in
-      J.close writer;
-      let fresh : (int, record) Hashtbl.t = Hashtbl.create 97 in
-      List.iter2
-        (fun (i, _) o ->
-          Hashtbl.replace fresh i (Ims_exec.Outcome.get ~job:i o))
-        pending outcomes;
-      List.map
-        (fun (i, case) ->
-          match Hashtbl.find_opt fresh i with
-          | Some r -> r
-          | None -> record_of_json case (Hashtbl.find completed i))
-        indexed
+  let journal =
+    match (opts.resume, opts.journal) with
+    | Some path, _ -> Some (Ims_exec.Run.Resume path)
+    | None, Some path -> Some (Ims_exec.Run.Create path)
+    | None, None -> None
+  in
+  let manifest =
+    Ims_exec.Journal.manifest ~tool:"bench-measure" ~jobs:(List.length cases)
+      [ ("suite", Lazy.force measure_manifest_hash) ]
+  in
+  let record _ = function
+    | Ims_exec.Outcome.Done r -> Some (record_to_json r)
+    | _ -> None
+  in
+  match
+    Ims_exec.Run.run ~log ~manifest ?journal ~record ~jobs ?profile ?progress
+      ~timer:Unix.gettimeofday ~f:measure_job
+      (List.mapi (fun i c -> (i, c)) cases)
+  with
+  | Error msg -> failwith ("bench: " ^ msg)
+  | Ok (entries, _, _) ->
+      List.mapi
+        (fun i (case, entry) ->
+          match entry with
+          | Ims_exec.Run.Replayed line -> record_of_json case line
+          | Ims_exec.Run.Ran o -> Ims_exec.Outcome.get ~job:i o)
+        (List.combine cases entries)
 
 let dump_metrics file records =
   let open Ims_obs in

@@ -423,6 +423,16 @@ let observe_back_end tr metrics s =
         (Metrics.gauge metrics "codegen.rotating_ops")
         (Ims_pipeline.Codegen.code_size Ims_pipeline.Codegen.Rotating s))
 
+(* A checker-failed degrade: what each checker objected to in the
+   modulo schedule the ladder threw away.  The verdict printed after
+   it judges the fallback schedule, not this one. *)
+let print_rejection (h : Ims_check.Fallback.t) =
+  match (h.Ims_check.Fallback.degraded, h.Ims_check.Fallback.ims) with
+  | Some (Ims_check.Fallback.Checker_failed v), Some out ->
+      Format.printf "rejected II %d schedule:@.%a" out.Ims_core.Ims.ii
+        Ims_check.Check.pp v
+  | _ -> ()
+
 let cmd_schedule =
   let run model name budget max_delta_ii closure_jobs closure_threshold
       scheduler unroll interleave speculate compact gantt trace_file
@@ -485,6 +495,7 @@ let cmd_schedule =
         | Some reason ->
             Format.printf "DEGRADED: %s@."
               (Ims_check.Fallback.describe reason);
+            print_rejection h;
             Format.printf
               "fallback: acyclic list schedule, II %d, no pipelining@."
               s.Ims_core.Schedule.ii);
@@ -696,6 +707,29 @@ let parse_shard_spec tag = function
           | Some i, Some n when n >= 1 && i >= 1 && i <= n -> Some (i, n)
           | _ -> bad ()))
 
+let inject_spin_arg =
+  let doc =
+    "Test hook: make the loop named NAME busy-wait S seconds (polling its \
+     cancellation token) before scheduling."
+  in
+  Arg.(
+    value & opt (some string) None & info [ "inject-spin" ] ~docv:"NAME:S" ~doc)
+
+(* "NAME:VALUE" of the --inject-* test hooks, split at the last ':' so
+   a loop name may itself contain one. *)
+let parse_name_value tag flag = function
+  | None -> None
+  | Some s -> (
+      match String.rindex_opt s ':' with
+      | None ->
+          failwith (Printf.sprintf "%s: --%s expects NAME:VALUE" tag flag)
+      | Some i -> (
+          let v = String.sub s (i + 1) (String.length s - i - 1) in
+          match float_of_string_opt v with
+          | Some f -> Some (String.sub s 0 i, f)
+          | None ->
+              failwith (Printf.sprintf "%s: --%s: bad value %S" tag flag v)))
+
 let cmd_batch =
   let paths_arg =
     let doc =
@@ -807,16 +841,6 @@ let cmd_batch =
     in
     Arg.(value & opt (some int) None & info [ "max-failures" ] ~docv:"N" ~doc)
   in
-  let inject_spin_arg =
-    let doc =
-      "Test hook: make the loop named NAME busy-wait S seconds \
-       (polling its cancellation token) before scheduling."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject-spin" ] ~docv:"NAME:S" ~doc)
-  in
   let inject_flaky_arg =
     let doc =
       "Test hook: make the loop named NAME fail with a transient error \
@@ -847,24 +871,14 @@ let cmd_batch =
       status_file status_interval =
     wrap_code (fun () ->
         let machine = machine_of model in
-        let parse_inject flag = function
-          | None -> None
-          | Some s -> (
-              match String.rindex_opt s ':' with
-              | None ->
-                  failwith
-                    (Printf.sprintf "batch: --%s expects NAME:VALUE" flag)
-              | Some i -> (
-                  let name = String.sub s 0 i in
-                  let v = String.sub s (i + 1) (String.length s - i - 1) in
-                  match float_of_string_opt v with
-                  | Some f -> Some (name, f)
-                  | None ->
-                      failwith
-                        (Printf.sprintf "batch: --%s: bad value %S" flag v)))
+        let inject_spin = parse_name_value "batch" "inject-spin" inject_spin in
+        let inject_flaky =
+          parse_name_value "batch" "inject-flaky" inject_flaky
         in
-        let inject_spin = parse_inject "inject-spin" inject_spin in
-        let inject_flaky = parse_inject "inject-flaky" inject_flaky in
+        if resume <> None && journal <> None then
+          failwith
+            "batch: --journal and --resume are mutually exclusive (resume \
+             appends to the resumed journal)";
         let shard = parse_shard_spec "batch" shard_spec in
         let shard_str =
           match shard with
@@ -951,68 +965,10 @@ let cmd_batch =
             ("shard", shard_str);
           ]
         in
-        let manifest_hash = Ims_exec.Journal.hash_of_parts manifest_parts in
         let current_manifest =
-          {
-            Ims_exec.Journal.version = Ims_exec.Journal.format_version;
-            tool = "imsc-batch";
-            hash = manifest_hash;
-            jobs = n;
-            parts = manifest_parts;
-          }
+          Ims_exec.Journal.manifest ~tool:"imsc-batch" ~jobs:n manifest_parts
         in
-        if resume <> None && journal <> None then
-          failwith
-            "batch: --journal and --resume are mutually exclusive (resume \
-             appends to the resumed journal)";
-        let completed : (int, Json.t) Hashtbl.t = Hashtbl.create 97 in
-        let my_indices : (int, unit) Hashtbl.t = Hashtbl.create 97 in
-        List.iter (fun (g, _) -> Hashtbl.replace my_indices g ()) inputs;
-        (match resume with
-        | None -> ()
-        | Some path -> (
-            let module J = Ims_exec.Journal in
-            match J.read ~path with
-            | Error msg ->
-                failwith (Printf.sprintf "batch: cannot resume: %s" msg)
-            | Ok { J.manifest = m; entries; torn } ->
-                if m.J.tool <> "imsc-batch" then
-                  failwith
-                    (Printf.sprintf
-                       "batch: %s is a %S journal, not an imsc-batch one" path
-                       m.J.tool);
-                if m.J.hash <> manifest_hash then
-                  failwith
-                    (Printf.sprintf
-                       "batch: %s: journal %s was written with a \
-                        different configuration — refusing to reuse its \
-                        results"
-                       (J.explain_mismatch ~journal:m ~current:current_manifest)
-                       path);
-                if torn then
-                  Log.warn batch_log "ignoring torn final record in %s" path;
-                List.iter
-                  (fun (i, line) ->
-                    if Hashtbl.mem my_indices i then
-                      Hashtbl.replace completed i line)
-                  entries;
-                Log.info batch_log
-                  "resuming — %d of %d job(s) already journaled"
-                  (Hashtbl.length completed) n));
-        let writer =
-          match (resume, journal) with
-          | Some path, _ ->
-              Some (Ims_exec.Journal.reopen ~sync_every:journal_sync ~path ())
-          | None, Some path ->
-              Some
-                (Ims_exec.Journal.create ~sync_every:journal_sync ~path
-                   current_manifest)
-          | None, None -> None
-        in
-        let pending =
-          List.filter (fun (g, _) -> not (Hashtbl.mem completed g)) inputs
-        in
-        let schedule_one (shard : Ims_exec.Shard.t) (_, input) =
+        let schedule_one (shard : Ims_exec.Shard.t) input =
           (* A parse/decode error propagates and becomes this loop's
              Failed outcome (with file/offset via the registered
              printers); a scheduling casualty degrades to the list
@@ -1026,24 +982,11 @@ let cmd_batch =
                 (Printf.sprintf "transient injected fault (attempt %d)"
                    shard.Ims_exec.Shard.attempt)
           | _ -> ());
-          (match inject_spin with
-          | Some (sname, secs) when sname = input.in_name ->
-              let stop = Unix.gettimeofday () +. secs in
-              while Unix.gettimeofday () < stop do
-                Cancel.poll shard.Ims_exec.Shard.cancel
-              done
-          | _ -> ());
-          let ddg = input.load () in
-          let h =
-            Ims_check.Fallback.modulo_schedule_or_fallback
-              ~budget_ratio:budget ~max_delta_ii
-              ~counters:shard.Ims_exec.Shard.counters
-              ~trace:shard.Ims_exec.Shard.trace
-              ~cancel:shard.Ims_exec.Shard.cancel ddg
-          in
-          ( h,
-            Ims_core.Schedule.length h.Ims_check.Fallback.schedule,
-            Ddg.n_real ddg )
+          Ims_exec.Shard.spin inject_spin ~name:input.in_name shard;
+          Ims_serve.Render.schedule_ddg ~budget_ratio:budget ~max_delta_ii
+            ~counters:shard.Ims_exec.Shard.counters
+            ~trace:shard.Ims_exec.Shard.trace
+            ~cancel:shard.Ims_exec.Shard.cancel (input.load ())
         in
         (* Rendering is pure per (input, outcome), so the line journaled
            at completion time and the line in the final report are the
@@ -1067,37 +1010,6 @@ let cmd_batch =
             ~transient:(fun msg -> has_substring msg "transient")
             ()
         in
-        let run_cancel =
-          match max_failures with
-          | Some _ -> Some (Cancel.create ~timer:Unix.gettimeofday ())
-          | None -> None
-        in
-        let pending_arr = Array.of_list pending in
-        let failures = ref 0 in
-        let on_result =
-          match (writer, max_failures) with
-          | None, None -> None
-          | _ ->
-              Some
-                (fun i outcome ->
-                  let idx, input = pending_arr.(i) in
-                  (match writer with
-                  | Some w ->
-                      Ims_exec.Journal.append w ~index:idx
-                        (render input outcome)
-                  | None -> ());
-                  match (run_cancel, max_failures) with
-                  | Some tok, Some limit
-                    when not (Ims_exec.Outcome.is_done outcome) ->
-                      incr failures;
-                      if !failures > limit && not (Cancel.cancelled tok) then begin
-                        Log.warn batch_log
-                          "%d casualties — cancelling outstanding jobs"
-                          !failures;
-                        Cancel.cancel tok
-                      end
-                  | _ -> ())
-        in
         let profile = Option.map (fun _ -> Profile.create ()) profile_file in
         let t_start = Unix.gettimeofday () in
         (* Live status: the heartbeat file on request, the TTY progress
@@ -1117,43 +1029,46 @@ let cmd_batch =
            path — normal completion, --max-failures fail-fast, deadline
            cancellation, or an exception escaping mid-run (say, a
            journal write error) — so a monitor can always tell
-           "finished" from "died between heartbeats".  Idempotent: the
-           success path publishes the full stats and the protective
-           finally becomes a no-op. *)
-        let last_counts = ref (Status.zero ~total:(List.length pending)) in
-        let finished = ref false in
+           "finished" from "died between heartbeats".  Only the first
+           finish publishes: the success path's full stats win over the
+           protective finally. *)
+        let snapshot counts =
+          {
+            Status.phase = "batch";
+            counts;
+            elapsed = Unix.gettimeofday () -. t_start;
+          }
+        in
+        let last_counts = ref (Status.zero ~total:n) in
         let finish_status counts =
-          Option.iter
-            (fun w ->
-              if not !finished then begin
-                finished := true;
-                Status.finish w
-                  {
-                    Status.phase = "batch";
-                    counts;
-                    elapsed = Unix.gettimeofday () -. t_start;
-                  }
-              end)
-            status_writer
+          Option.iter (fun w -> Status.finish w (snapshot counts)) status_writer
         in
         let progress =
           Option.map
             (fun w counts ->
               last_counts := counts;
-              Status.heartbeat w
-                {
-                  Status.phase = "batch";
-                  counts;
-                  elapsed = Unix.gettimeofday () -. t_start;
-                })
+              Status.heartbeat w (snapshot counts))
             status_writer
         in
         Fun.protect ~finally:(fun () -> finish_status !last_counts)
         @@ fun () ->
-        let outcomes, merged, stats =
-          Ims_exec.Exec.run ~jobs ?timeout ?deadline ~retry
-            ?cancel:run_cancel ?on_result ?profile ?progress ~sleep:Unix.sleepf
-            ~timer:Unix.gettimeofday ~f:schedule_one pending
+        let journal =
+          match (resume, journal) with
+          | Some path, _ -> Some (Ims_exec.Run.Resume path)
+          | None, Some path -> Some (Ims_exec.Run.Create path)
+          | None, None -> None
+        in
+        let entries, merged, stats =
+          match
+            Ims_exec.Run.run ~log:batch_log ~manifest:current_manifest
+              ?journal ~sync_every:journal_sync ?max_failures
+              ~record:(fun input outcome -> Some (render input outcome))
+              ~jobs ?timeout ?deadline ~retry ?profile ?progress
+              ~sleep:Unix.sleepf ~timer:Unix.gettimeofday ~f:schedule_one
+              inputs
+          with
+          | Ok r -> r
+          | Error msg -> failwith ("batch: " ^ msg)
         in
         finish_status
           {
@@ -1166,34 +1081,27 @@ let cmd_batch =
           };
         (match (profile_file, profile) with
         | Some file, Some p ->
-            (* The achieved IIs make a deterministic series (outcomes
+            (* The achieved IIs make a deterministic series (entries
                are in input order), so the profile answers "how were
                the IIs distributed" alongside the wall-clock view. *)
             List.iter
               (function
-                | Ims_exec.Outcome.Done ((h : Ims_check.Fallback.t), _, _) ->
+                | Ims_exec.Run.Ran
+                    (Ims_exec.Outcome.Done ((h : Ims_check.Fallback.t), _, _))
+                  ->
                     Profile.add_sample p "ii"
                       (float_of_int
                          h.Ims_check.Fallback.schedule.Ims_core.Schedule.ii)
                 | _ -> ())
-              outcomes;
+              entries;
             write_file file (Json.to_string (Profile.to_json p) ^ "\n")
         | _ -> ());
-        (match writer with
-        | Some w -> Ims_exec.Journal.close w
-        | None -> ());
-        let fresh : (int, Json.t) Hashtbl.t = Hashtbl.create 97 in
-        List.iter2
-          (fun (idx, input) outcome ->
-            Hashtbl.replace fresh idx (render input outcome))
-          pending outcomes;
         let lines =
-          List.map
-            (fun (g, _) ->
-              match Hashtbl.find_opt fresh g with
-              | Some line -> line
-              | None -> Hashtbl.find completed g)
-            inputs
+          List.map2
+            (fun (_, input) -> function
+              | Ims_exec.Run.Replayed line -> line
+              | Ims_exec.Run.Ran outcome -> render input outcome)
+            inputs entries
         in
         (match report with
         | Some file -> Ims_exec.Report.write_jsonl file lines
@@ -1201,71 +1109,43 @@ let cmd_batch =
         (* Casualty accounting reads the report lines, not the outcome
            list, so loops journaled as casualties by an interrupted run
            still count after a resume. *)
-        let field key = function
-          | Json.Obj kvs -> List.assoc_opt key kvs
-          | _ -> None
-        in
-        let status_of line =
-          match field "status" line with
-          | Some (Json.String s) -> s
-          | _ -> "ok"
-        in
-        let describe_line line =
-          match field "error" line with
-          | Some (Json.String e) -> Printf.sprintf "%s: %s" (status_of line) e
-          | _ -> (
-              match field "elapsed_s" line with
-              | Some (Json.Float e) ->
-                  Printf.sprintf "%s after %.3fs" (status_of line) e
-              | _ -> status_of line)
-        in
-        let casualty_lines =
-          List.filter
-            (fun ((_, _), line) -> status_of line <> "ok")
-            (List.combine inputs lines)
-        in
-        let casualty_lines =
-          List.map (fun ((_, input), line) -> (input, line)) casualty_lines
-        in
-        let degraded =
-          List.length
-            (List.filter
-               (fun line ->
-                 match field "degraded" line with
-                 | Some (Json.Bool true) -> true
-                 | _ -> false)
-               lines)
-        in
+        let casualties = ref [] and degraded = ref 0 in
+        List.iter2
+          (fun (_, input) line ->
+            match Ims_exec.Report.verdict line with
+            | Ims_exec.Report.Clean -> ()
+            | Ims_exec.Report.Degraded -> incr degraded
+            | Ims_exec.Report.Casualty what ->
+                casualties := (input, what) :: !casualties)
+          inputs lines;
+        let casualties = List.rev !casualties in
         Log.info batch_log "%s" (Ims_exec.Exec.summary stats);
         (* Deliberately NOT routed through the logger: scripts match
            this data line anchored at start of line (^merged counters). *)
         Format.eprintf "merged counters: %a@." Ims_mii.Counters.pp
           merged.Ims_exec.Shard.counters;
         List.iter
-          (fun (input, line) ->
-            Printf.eprintf "  %s: %s\n" input.in_name (describe_line line))
-          casualty_lines;
+          (fun (input, what) -> Printf.eprintf "  %s: %s\n" input.in_name what)
+          casualties;
         (match quarantine with
         | None -> ()
         | Some file ->
             let oc = open_out file in
             List.iter
               (fun (input, _) -> output_string oc (input.origin ^ "\n"))
-              casualty_lines;
+              casualties;
             close_out oc;
-            if casualty_lines <> [] then
+            if casualties <> [] then
               Log.info batch_log "%d poison input(s) quarantined to %s"
-                (List.length casualty_lines) file);
-        if casualty_lines <> [] then begin
-          Log.error batch_log "completed with casualties (see report)";
-          1
-        end
-        else if degraded > 0 then begin
+                (List.length casualties) file);
+        if casualties <> [] then
+          Log.error batch_log "completed with casualties (see report)"
+        else if !degraded > 0 then
           Log.warn batch_log "%d loop(s) degraded to the acyclic list schedule"
-            degraded;
-          2
-        end
-        else 0)
+            !degraded;
+        Ims_exec.Report.exit_code
+          ~casualties:(List.length casualties)
+          ~degraded:!degraded)
   in
   Cmd.v
     (Cmd.info "batch"
@@ -1610,20 +1490,16 @@ let cmd_fleet =
                    survived"
                   stats.Ims_fleet.Fleet.lines workers
                   outcome.Ims_fleet.Fleet.restarts;
-                if stats.Ims_fleet.Fleet.merge_casualties > 0 then begin
+                let casualties = stats.Ims_fleet.Fleet.merge_casualties
+                and degraded = stats.Ims_fleet.Fleet.merge_degraded in
+                if casualties > 0 then
                   Log.error fleet_log "completed with %d casualt%s (see report)"
-                    stats.Ims_fleet.Fleet.merge_casualties
-                    (if stats.Ims_fleet.Fleet.merge_casualties = 1 then "y"
-                     else "ies");
-                  1
-                end
-                else if stats.Ims_fleet.Fleet.merge_degraded > 0 then begin
+                    casualties
+                    (if casualties = 1 then "y" else "ies")
+                else if degraded > 0 then
                   Log.warn fleet_log
-                    "%d loop(s) degraded to the acyclic list schedule"
-                    stats.Ims_fleet.Fleet.merge_degraded;
-                  2
-                end
-                else 0))
+                    "%d loop(s) degraded to the acyclic list schedule" degraded;
+                Ims_exec.Report.exit_code ~casualties ~degraded))
   in
   Cmd.v
     (Cmd.info "fleet"
@@ -1785,36 +1661,12 @@ let cmd_serve =
     in
     Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
   in
-  let inject_spin_arg =
-    let doc =
-      "Test hook: make requests named NAME busy-wait S seconds (polling \
-       their cancellation token) before scheduling."
-    in
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "inject-spin" ] ~docv:"NAME:S" ~doc)
-  in
   let run socket jobs queue cache_file cache_entries cache_policy
       cache_max_bytes conn_timeout max_conns supervise max_restarts backoff
       backoff_cap pidfile chaos deadline status_file status_interval metrics
       inject_spin =
     wrap_code (fun () ->
-        let inject_spin =
-          match inject_spin with
-          | None -> None
-          | Some s -> (
-              match String.rindex_opt s ':' with
-              | None -> failwith "serve: --inject-spin expects NAME:S"
-              | Some i -> (
-                  let name = String.sub s 0 i in
-                  let v = String.sub s (i + 1) (String.length s - i - 1) in
-                  match float_of_string_opt v with
-                  | Some f -> Some (name, f)
-                  | None ->
-                      failwith
-                        (Printf.sprintf "serve: --inject-spin: bad value %S" v)))
-        in
+        let inject_spin = parse_name_value "serve" "inject-spin" inject_spin in
         let cache_policy =
           match Ims_serve.Cache.policy_of_string cache_policy with
           | Ok p -> p
@@ -2025,60 +1877,42 @@ let cmd_request =
               responses;
             let cached = ref 0 and casualties = ref 0 and degraded = ref 0 in
             let buf = Buffer.create 4096 in
+            let emit line =
+              Buffer.add_string buf line;
+              Buffer.add_char buf '\n'
+            in
+            (* A loop the daemon did not answer with a record. *)
+            let casualty name status extra =
+              incr casualties;
+              emit
+                (Json.to_string
+                   (Json.Obj
+                      (("name", Json.String name)
+                      :: ("status", Json.String status) :: extra)))
+            in
             List.iteri
               (fun i (name, _) ->
-                let emit line =
-                  Buffer.add_string buf line;
-                  Buffer.add_char buf '\n'
-                in
                 match Hashtbl.find_opt by_id (i + 1) with
                 | Some (Ims_serve.Protocol.Report { cached = c; record; _ })
                   ->
                     if c then incr cached;
-                    (match Json.of_string record with
-                    | Ok (Json.Obj kvs) ->
-                        (match List.assoc_opt "status" kvs with
-                        | Some (Json.String "ok") | None -> ()
-                        | Some _ -> incr casualties);
-                        (match List.assoc_opt "degraded" kvs with
-                        | Some (Json.Bool true) -> incr degraded
-                        | _ -> ())
-                    | _ -> ());
+                    (match Ims_exec.Report.verdict_of_string record with
+                    | Ok (Ims_exec.Report.Casualty _) -> incr casualties
+                    | Ok Ims_exec.Report.Degraded -> incr degraded
+                    | Ok Ims_exec.Report.Clean | Error _ -> ());
                     emit record
                 | Some (Ims_serve.Protocol.Overloaded { depth; capacity; _ })
                   ->
-                    incr casualties;
                     Log.warn request_log "%s: overloaded (queue %d/%d)" name
                       depth capacity;
-                    emit
-                      (Json.to_string
-                         (Json.Obj
-                            [
-                              ("name", Json.String name);
-                              ("status", Json.String "overloaded");
-                            ]))
+                    casualty name "overloaded" []
                 | Some (Ims_serve.Protocol.Error { message; _ }) ->
-                    incr casualties;
                     Log.error request_log "%s: %s" name message;
-                    emit
-                      (Json.to_string
-                         (Json.Obj
-                            [
-                              ("name", Json.String name);
-                              ("status", Json.String "error");
-                              ("error", Json.String message);
-                            ]))
+                    casualty name "error" [ ("error", Json.String message) ]
                 | Some _ | None ->
-                    incr casualties;
                     Log.error request_log "%s: no response" name;
-                    emit
-                      (Json.to_string
-                         (Json.Obj
-                            [
-                              ("name", Json.String name);
-                              ("status", Json.String "error");
-                              ("error", Json.String "no response");
-                            ])))
+                    casualty name "error"
+                      [ ("error", Json.String "no response") ])
               inputs;
             (match report with
             | Some file -> write_file file (Buffer.contents buf)
@@ -2093,7 +1927,8 @@ let cmd_request =
             if n > 0 then
               Log.info request_log "%d of %d loop(s) served from cache"
                 !cached n;
-            if !casualties > 0 then 1 else if !degraded > 0 then 2 else 0)
+            Ims_exec.Report.exit_code ~casualties:!casualties
+              ~degraded:!degraded)
   in
   Cmd.v
     (Cmd.info "request"
@@ -2460,6 +2295,9 @@ let cmd_check =
             | None -> ""
             | Some r ->
                 Printf.sprintf " (DEGRADED: %s)" (Ims_check.Fallback.describe r));
+          print_rejection h;
+          if h.Ims_check.Fallback.degraded <> None then
+            Format.printf "fallback schedule:@.";
           let failures = h.Ims_check.Fallback.verdict.Ims_check.Check.failures in
           List.iter
             (fun c ->
@@ -2473,8 +2311,9 @@ let cmd_check =
                   Format.printf "  %-10s ok@." (Ims_check.Check.checker_name c)
               | Some f ->
                   List.iter
-                    (Format.printf "  %-10s FAIL %s@."
-                       (Ims_check.Check.checker_name c))
+                    (Format.printf "  %-10s %s%s@."
+                       (Ims_check.Check.checker_name c)
+                       (if f.Ims_check.Check.abstained then "" else "FAIL "))
                     f.Ims_check.Check.diagnostics)
             Ims_check.Check.all_checkers;
           match h.Ims_check.Fallback.degraded with

@@ -35,14 +35,25 @@ val checker_name : checker -> string
 type failure = {
   checker : checker;
   diagnostics : string list;  (** Non-empty. *)
+  abstained : bool;
+      (** The checker could not judge the schedule at all (the
+          interpreter outside {!Ims_pipeline.Interp.supported}):
+          neither a pass nor a rejection. *)
 }
 
-type verdict = { failures : failure list (** Empty means fully legal. *) }
+type verdict = {
+  failures : failure list;
+      (** Rejections and abstentions, in run order.  Empty means legal
+          and fully covered. *)
+}
 
 val passed : verdict -> bool
+(** Nothing rejected the schedule. *)
 
 val killed_by : verdict -> checker list
 (** The checkers that objected, in run order. *)
+
+val abstained : verdict -> checker list
 
 val all :
   ?trip:int ->
@@ -57,8 +68,11 @@ val all :
     are forwarded to the simulator and the interpreter. *)
 
 val summary : verdict -> string
-(** One line: ["all checks passed (lint, verify, simulator, interp)"] or
-    ["verify: 2 diagnostics; interp: 1 diagnostic"]. *)
+(** One line: ["all checks passed (lint, verify, simulator, interp)"]
+    or ["verify: 2 diagnostics; interp: 1 diagnostic"]; each abstention
+    is appended, and a pass names only the checkers that judged
+    (["all checks passed (lint, verify, simulator); interp abstained"]). *)
 
 val pp : Format.formatter -> verdict -> unit
-(** Every diagnostic, one per line, prefixed with its checker. *)
+(** Every diagnostic, one per line, prefixed with its checker; a pass
+    prints its {!summary}. *)

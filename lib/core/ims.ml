@@ -245,18 +245,9 @@ let iterative_schedule ?counters ?(trace = Trace.null) ?(priority = Height_r)
     None
   end
 
-let modulo_schedule ?(budget_ratio = default_budget_ratio)
-    ?(max_delta_ii = 1000) ?counters ?(trace = Trace.null) ?priority ?cancel
-    ddg =
-  let counters =
-    match counters with Some c -> c | None -> Counters.create ()
-  in
-  let mii = Trace.with_span trace "mii" (fun () -> Mii.compute ~counters ~trace ddg) in
-  let n = Ddg.n_total ddg in
-  let budget =
-    max 1 (int_of_float (budget_ratio *. float_of_int n))
-  in
-  let prep = prepare ddg in
+let search_ii ?(trace = Trace.null) ?(budget = 0) ~counters ~mii ~max_delta_ii
+    try_ii =
+  let steps () = counters.Counters.sched_steps in
   let rec attempt ii tried =
     if ii > mii.Mii.mii + max_delta_ii then
       {
@@ -264,35 +255,45 @@ let modulo_schedule ?(budget_ratio = default_budget_ratio)
         ii;
         mii;
         attempts = tried;
-        steps_total = counters.Counters.sched_steps;
+        steps_total = steps ();
         steps_final = 0;
         counters;
       }
     else begin
-      let before = counters.Counters.sched_steps in
+      let before = steps () in
       Trace.ii_start trace ~ii ~attempt:(tried + 1) ~budget;
-      match
-        iterative_schedule ~counters ~trace ?priority ?cancel ~prep ddg ~ii
-          ~budget
-      with
-      | Some schedule ->
-          let steps_final = counters.Counters.sched_steps - before in
-          Trace.ii_end trace ~ii ~scheduled:true ~steps:steps_final;
+      let schedule = try_ii ii in
+      let steps_final = steps () - before in
+      Trace.ii_end trace ~ii ~scheduled:(schedule <> None) ~steps:steps_final;
+      match schedule with
+      | Some _ ->
           counters.Counters.sched_steps_final <-
             counters.Counters.sched_steps_final + steps_final;
           {
-            schedule = Some schedule;
+            schedule;
             ii;
             mii;
             attempts = tried + 1;
-            steps_total = counters.Counters.sched_steps;
+            steps_total = steps ();
             steps_final;
             counters;
           }
-      | None ->
-          Trace.ii_end trace ~ii ~scheduled:false
-            ~steps:(counters.Counters.sched_steps - before);
-          attempt (ii + 1) (tried + 1)
+      | None -> attempt (ii + 1) (tried + 1)
     end
   in
   attempt mii.Mii.mii 0
+
+let modulo_schedule ?(budget_ratio = default_budget_ratio)
+    ?(max_delta_ii = 1000) ?counters ?(trace = Trace.null) ?priority ?cancel
+    ddg =
+  let counters =
+    match counters with Some c -> c | None -> Counters.create ()
+  in
+  let mii = Trace.with_span trace "mii" (fun () -> Mii.compute ~counters ~trace ddg) in
+  let budget =
+    max 1 (int_of_float (budget_ratio *. float_of_int (Ddg.n_total ddg)))
+  in
+  let prep = prepare ddg in
+  search_ii ~trace ~budget ~counters ~mii ~max_delta_ii (fun ii ->
+      iterative_schedule ~counters ~trace ?priority ?cancel ~prep ddg ~ii
+        ~budget)

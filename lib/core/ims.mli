@@ -67,6 +67,19 @@ val iterative_schedule :
     {!Ims_obs.Cancel.Cancelled}.  A null token costs one branch per
     step, mirroring the disabled-trace discipline. *)
 
+val search_ii :
+  ?trace:Ims_obs.Trace.t ->
+  ?budget:int ->
+  counters:Counters.t ->
+  mii:Mii.t ->
+  max_delta_ii:int ->
+  (int -> Schedule.t option) ->
+  outcome
+(** The II search of figure 2, shared by every scheduler: [try_ii ii]
+    for each candidate II from the MII up to [max_delta_ii] past it,
+    stopping at the first that schedules, with the outcome's attempt
+    and step accounting.  [budget] is only reported in the trace. *)
+
 val modulo_schedule :
   ?budget_ratio:float ->
   ?max_delta_ii:int ->

@@ -283,34 +283,5 @@ let modulo_schedule ?(budget_ratio = Ims.default_budget_ratio)
   let n = Ddg.n_total ddg in
   let budget = max 1 (int_of_float (budget_ratio *. float_of_int n)) in
   let prep = prepare ddg in
-  let rec attempt ii tried =
-    if ii > mii.Mii.mii + max_delta_ii then
-      {
-        Ims.schedule = None;
-        ii;
-        mii;
-        attempts = tried;
-        steps_total = counters.Counters.sched_steps;
-        steps_final = 0;
-        counters;
-      }
-    else begin
-      let before = counters.Counters.sched_steps in
-      match iterative_schedule ~counters ?cancel ~prep ddg ~ii ~budget with
-      | Some schedule ->
-          let steps_final = counters.Counters.sched_steps - before in
-          counters.Counters.sched_steps_final <-
-            counters.Counters.sched_steps_final + steps_final;
-          {
-            Ims.schedule = Some schedule;
-            ii;
-            mii;
-            attempts = tried + 1;
-            steps_total = counters.Counters.sched_steps;
-            steps_final;
-            counters;
-          }
-      | None -> attempt (ii + 1) (tried + 1)
-    end
-  in
-  attempt mii.Mii.mii 0
+  Ims.search_ii ~counters ~mii ~max_delta_ii (fun ii ->
+      iterative_schedule ~counters ?cancel ~prep ddg ~ii ~budget)

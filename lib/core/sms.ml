@@ -281,19 +281,7 @@ let modulo_schedule ?(budget_ratio = Ims.default_budget_ratio)
   let alternatives = Prep.alternatives ddg in
   let caps = Prep.caps ddg.Ddg.machine in
   let solver = Mindist.solver_full ~counters ddg in
-  let rec attempt ii tried =
-    if ii > mii.Mii.mii + max_delta_ii then
-      {
-        Ims.schedule = None;
-        ii;
-        mii;
-        attempts = tried;
-        steps_total = counters.Counters.sched_steps;
-        steps_final = 0;
-        counters;
-      }
-    else begin
-      let before = counters.Counters.sched_steps in
+  Ims.search_ii ~counters ~mii ~max_delta_ii (fun ii ->
       (* One MinDist per attempt, shared between the ordering phase and
          the placement bounds (the ordering's three derived metrics used
          to recompute it, uncounted, on every candidate II); the solver
@@ -301,21 +289,4 @@ let modulo_schedule ?(budget_ratio = Ims.default_budget_ratio)
       let md = Mindist.solve ~counters solver ~ii in
       let order = ordering_md ddg ~md in
       let ctabs = Prep.compile ~caps alternatives ~ii in
-      match try_schedule ~counters ?cancel ddg ~ii ~order ~md ~ctabs with
-      | Some schedule ->
-          let steps_final = counters.Counters.sched_steps - before in
-          counters.Counters.sched_steps_final <-
-            counters.Counters.sched_steps_final + steps_final;
-          {
-            Ims.schedule = Some schedule;
-            ii;
-            mii;
-            attempts = tried + 1;
-            steps_total = counters.Counters.sched_steps;
-            steps_final;
-            counters;
-          }
-      | None -> attempt (ii + 1) (tried + 1)
-    end
-  in
-  attempt mii.Mii.mii 0
+      try_schedule ~counters ?cancel ddg ~ii ~order ~md ~ctabs)

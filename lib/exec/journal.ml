@@ -19,6 +19,9 @@ let manifest_hash = Content_hash.of_parts
 let hash_of_parts parts =
   manifest_hash (List.concat_map (fun (k, v) -> [ k; v ]) parts)
 
+let manifest ~tool ~jobs parts =
+  { version = format_version; tool; hash = hash_of_parts parts; jobs; parts }
+
 let manifest_json m =
   Json.Obj
     ([

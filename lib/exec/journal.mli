@@ -49,6 +49,10 @@ val hash_of_parts : (string * string) list -> string
 (** The overall manifest hash derived from named component digests
     (names and values both bound, order-sensitive). *)
 
+val manifest : tool:string -> jobs:int -> (string * string) list -> manifest
+(** A current-version manifest over named ingredients, hashed with
+    {!hash_of_parts}. *)
+
 val explain_mismatch : journal:manifest -> current:manifest -> string
 (** A refusal message naming each component whose digest diverged
     ("manifest mismatch: corpus diverged (…)"); falls back to the bare

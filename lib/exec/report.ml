@@ -40,3 +40,26 @@ let write_jsonl file lines =
   let oc = open_out file in
   output_string oc (jsonl_string lines);
   close_out oc
+
+type verdict = Clean | Degraded | Casualty of string
+
+let verdict line =
+  let field = Json.field line in
+  match field "status" with
+  | Some (Json.String s) when s <> "ok" ->
+      Casualty
+        (match (field "error", field "elapsed_s") with
+        | Some (Json.String e), _ -> Printf.sprintf "%s: %s" s e
+        | _, Some (Json.Float e) -> Printf.sprintf "%s after %.3fs" s e
+        | _ -> s)
+  | _ -> (
+      match field "degraded" with Some (Json.Bool true) -> Degraded | _ -> Clean)
+
+let verdict_of_string s =
+  match Json.of_string s with
+  | Ok (Json.Obj _ as line) -> Ok (verdict line)
+  | Ok _ -> Error "report line is not a JSON object"
+  | Error e -> Error (Printf.sprintf "unparseable report line: %s" e)
+
+let exit_code ~casualties ~degraded =
+  if casualties > 0 then 1 else if degraded > 0 then 2 else 0

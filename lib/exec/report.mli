@@ -37,3 +37,24 @@ val jsonl_string : Json.t list -> string
 (** One line per object, each ["\n"]-terminated. *)
 
 val write_jsonl : string -> Json.t list -> unit
+
+(** {2 Verdicts}
+
+    The one reading of a finished line, by which [imsc batch],
+    [imsc request] and the fleet merge exit: from the report, not from
+    in-memory outcomes, so journaled records count like fresh ones. *)
+
+type verdict =
+  | Clean
+  | Degraded  (** ["degraded":true]: the acyclic fallback shipped. *)
+  | Casualty of string
+      (** Any ["status"] but ["ok"] (a line without one is ok), with
+          one line naming it and its error or elapsed seconds. *)
+
+val verdict : Json.t -> verdict
+
+val verdict_of_string : string -> (verdict, string) result
+(** [Error] when the line is not a JSON object. *)
+
+val exit_code : casualties:int -> degraded:int -> int
+(** 1 with any casualty, else 2 with any degraded loop, else 0. *)

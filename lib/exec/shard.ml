@@ -35,3 +35,12 @@ let merge shards =
     cancel = Cancel.null;
     attempt = 1;
   }
+
+let spin hook ~name shard =
+  match hook with
+  | Some (target, secs) when target = name ->
+      let stop = Unix.gettimeofday () +. secs in
+      while Unix.gettimeofday () < stop do
+        Cancel.poll shard.cancel
+      done
+  | _ -> ()

@@ -50,3 +50,7 @@ val merge : t list -> t
     set merges into a timing-only shard (span tables folded, no
     events).  The merged shard's control fields are neutral
     ([Cancel.null], attempt 1). *)
+
+val spin : (string * float) option -> name:string -> t -> unit
+(** The [--inject-spin NAME:S] test hook of batch and serve: for the
+    job named NAME, busy-wait S seconds polling the shard's token. *)

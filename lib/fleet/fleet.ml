@@ -431,18 +431,12 @@ let merge_reports ~reports ~emit =
     (fun () ->
       let casualties = ref 0 and degraded = ref 0 in
       let classify line =
-        match Json.of_string line with
-        | Error e ->
-            Error (Printf.sprintf "unparseable report line: %s" e)
-        | Ok (Json.Obj kvs) ->
-            (match List.assoc_opt "status" kvs with
-            | Some (Json.String "ok") | None -> ()
-            | Some _ -> incr casualties);
-            (match List.assoc_opt "degraded" kvs with
-            | Some (Json.Bool true) -> incr degraded
-            | _ -> ());
-            Ok ()
-        | Ok _ -> Error "report line is not a JSON object"
+        Result.map
+          (function
+            | Ims_exec.Report.Clean -> ()
+            | Ims_exec.Report.Degraded -> incr degraded
+            | Ims_exec.Report.Casualty _ -> incr casualties)
+          (Ims_exec.Report.verdict_of_string line)
       in
       let rec go g =
         let k = g mod n in

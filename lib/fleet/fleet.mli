@@ -70,8 +70,9 @@ val run :
 
 type merge_stats = {
   lines : int;  (** Total report lines merged. *)
-  merge_casualties : int;  (** Lines whose ["status"] is not ["ok"]. *)
-  merge_degraded : int;  (** Lines with ["degraded":true]. *)
+  merge_casualties : int;
+      (** Lines whose {!Ims_exec.Report.verdict} is a casualty. *)
+  merge_degraded : int;  (** Lines whose verdict is [Degraded]. *)
 }
 
 val merge_reports :

@@ -81,10 +81,12 @@ type writer = {
   timer : unit -> float;
   mutable last : float;
   mutable tty_dirty : bool;
+  mutable finished : bool;
 }
 
 let writer ?(interval = 1.0) ?file ?tty ~timer () =
-  { file; tty; interval; timer; last = neg_infinity; tty_dirty = false }
+  { file; tty; interval; timer; last = neg_infinity; tty_dirty = false;
+    finished = false }
 
 let publish w ~running s =
   (match w.file with
@@ -108,10 +110,13 @@ let heartbeat w s =
   end
 
 let finish w s =
-  publish w ~running:false s;
-  match w.tty with
-  | Some oc when w.tty_dirty ->
-      output_char oc '\n';
-      flush oc;
-      w.tty_dirty <- false
-  | _ -> ()
+  if not w.finished then begin
+    w.finished <- true;
+    publish w ~running:false s;
+    match w.tty with
+    | Some oc when w.tty_dirty ->
+        output_char oc '\n';
+        flush oc;
+        w.tty_dirty <- false
+    | _ -> ()
+  end

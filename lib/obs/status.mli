@@ -63,4 +63,5 @@ val heartbeat : writer -> snapshot -> unit
 
 val finish : writer -> snapshot -> unit
 (** Publish unconditionally with ["running":false]; settles the TTY
-    line with a newline. *)
+    line with a newline.  Only the first call publishes, so a
+    protective [finally] may repeat it. *)

@@ -85,15 +85,21 @@ let exec mem (o : Op.t) ~read ~write =
     | None, _ -> ()
   end
 
-let outcome_of ~seed ~trip ddg instances mem =
-  ignore seed;
+(* The registers the loop's real operations write. *)
+let defined_set ddg =
   let defined = Hashtbl.create 32 in
   List.iter
     (fun i -> List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
     (Ddg.real_ids ddg);
+  defined
+
+let defined_regs ddg =
+  Hashtbl.fold (fun r () acc -> r :: acc) (defined_set ddg) [] |> List.sort compare
+
+let outcome_of ~seed ~trip ddg instances mem =
+  ignore seed;
   let finals =
-    Hashtbl.fold (fun r () acc -> r :: acc) defined []
-    |> List.sort compare
+    defined_regs ddg
     |> List.filter_map (fun r ->
            let rec youngest j =
              if j < 0 then None
@@ -110,34 +116,48 @@ let outcome_of ~seed ~trip ddg instances mem =
   in
   { memory; finals }
 
-let sequential_instances ~seed ddg ~trip =
+(* Up to [trip] iterations in program order.  With [exit_op], execution
+   stops after the exit operation of the first iteration whose exit
+   condition is non-zero; returns that iteration, or [trip]. *)
+let sequential_instances ?exit_op ~seed ddg ~trip =
   let instances = Hashtbl.create 256 in
   let mem = Hashtbl.create 256 in
-  for i = 0 to trip - 1 do
+  let exit_iter = ref trip in
+  let i = ref 0 in
+  while !i < trip && !exit_iter = trip do
+    let iter = !i in
     List.iter
       (fun id ->
-        let o = Ddg.op ddg id in
-        let read (r, d) =
-          (* Registers keep their value across unwritten iterations; the
-             preloaded instances (negative indices) are distinct. *)
-          let target = i - d in
-          let rec walk j =
-            if j < 0 then live_in ~seed r (min target (-1))
-            else
-              match Hashtbl.find_opt instances (r, j) with
-              | Some v -> v
-              | None -> walk (j - 1)
+        if !exit_iter = trip then begin
+          let o = Ddg.op ddg id in
+          let read (r, d) =
+            (* Registers keep their value across unwritten iterations;
+               the preloaded instances (negative indices) are distinct. *)
+            let target = iter - d in
+            let rec walk j =
+              if j < 0 then live_in ~seed r (min target (-1))
+              else
+                match Hashtbl.find_opt instances (r, j) with
+                | Some v -> v
+                | None -> walk (j - 1)
+            in
+            walk target
           in
-          walk target
-        in
-        let write r v = Hashtbl.replace instances (r, i) v in
-        exec mem o ~read ~write)
-      (Ddg.real_ids ddg)
+          let write r v = Hashtbl.replace instances (r, iter) v in
+          exec mem o ~read ~write;
+          match (exit_op, o.Op.srcs) with
+          | Some e, (c : Op.operand) :: _
+            when e = id && read (c.Op.reg, c.Op.distance) <> 0.0 ->
+              exit_iter := iter
+          | _ -> ()
+        end)
+      (Ddg.real_ids ddg);
+    incr i
   done;
-  (instances, mem)
+  (instances, mem, !exit_iter)
 
 let run_sequential ?(seed = 42) ddg ~trip =
-  let instances, mem = sequential_instances ~seed ddg ~trip in
+  let instances, mem, _ = sequential_instances ~seed ddg ~trip in
   outcome_of ~seed ~trip ddg instances mem
 
 (* Supported for overlapped replay: every register the loop defines gets
@@ -147,33 +167,31 @@ let supported ddg =
   let trip = 6 in
   match sequential_instances ~seed:42 ddg ~trip with
   | exception Unsupported _ -> false
-  | instances, _ ->
-      let defined = Hashtbl.create 32 in
-      List.iter
-        (fun i ->
-          List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
-        (Ddg.real_ids ddg);
-      Hashtbl.fold
-        (fun r () acc ->
-          acc
-          && List.for_all
-               (fun i -> Hashtbl.mem instances (r, i))
-               (List.init trip Fun.id))
-        defined true
+  | instances, _, _ ->
+      List.for_all
+        (fun r ->
+          List.for_all
+            (fun i -> Hashtbl.mem instances (r, i))
+            (List.init trip Fun.id))
+        (defined_regs ddg)
 
-let run_pipelined ?(seed = 42) sched ~trip =
-  let ddg = sched.Schedule.ddg in
-  if not (supported ddg) then
-    invalid_arg "Interp.run_pipelined: loop has partially-defined registers";
+(* (issue cycle, iteration, op) of every instance in iterations
+   [0, iters) that [executes], in issue order. *)
+let issue_order ?(executes = fun _ -> true) sched ~iters =
   let ii = sched.Schedule.ii in
-  let order =
-    List.concat_map
-      (fun i ->
-        List.map (fun id -> (Schedule.time sched id + (i * ii), i, id))
-          (Ddg.real_ids ddg))
-      (List.init trip Fun.id)
-    |> List.sort compare
-  in
+  List.concat_map
+    (fun i ->
+      List.filter_map
+        (fun id ->
+          if executes (i, id) then Some (Schedule.time sched id + (i * ii), i, id)
+          else None)
+        (Ddg.real_ids sched.Schedule.ddg))
+    (List.init iters Fun.id)
+  |> List.sort compare
+
+(* Replay [order] over unbounded per-iteration register instances: the
+   overlapped issue order with no finite register model in the way. *)
+let replay_instances ~seed ddg order =
   let instances = Hashtbl.create 256 in
   let mem = Hashtbl.create 256 in
   List.iter
@@ -192,6 +210,15 @@ let run_pipelined ?(seed = 42) sched ~trip =
       let write r v = Hashtbl.replace instances (r, i) v in
       exec mem o ~read ~write)
     order;
+  (instances, mem)
+
+let run_pipelined ?(seed = 42) sched ~trip =
+  let ddg = sched.Schedule.ddg in
+  if not (supported ddg) then
+    invalid_arg "Interp.run_pipelined: loop has partially-defined registers";
+  let instances, mem =
+    replay_instances ~seed ddg (issue_order sched ~iters:trip)
+  in
   outcome_of ~seed ~trip ddg instances mem
 
 let equivalent a b =
@@ -201,37 +228,42 @@ let equivalent a b =
   in
   eq_list a.memory b.memory && eq_list a.finals b.finals
 
+(* Shared driver: replay iterations in schedule (issue) order with a
+   caller-supplied finite register model, then rebuild the outcome from
+   the final sequential re-read of the same model.  [write cell value]
+   and [read (reg, distance) ~iter] hide the register structure.
 
+   Timing follows the hardware the register models assume (and that
+   [Lifetime.copies = ceil(len/II)] counts on): every operation reads
+   its operands at issue, and a register write is not visible to reads
+   in the same cycle — writes land at the end of their cycle, in issue
+   order.  Making a write visible the moment it issues would let a
+   same-cycle reader of the register's previous value see the new one
+   and reject a correct schedule. *)
 let replay_finite ?(seed = 42) sched ~trip ~write ~read ~snapshot =
   let ddg = sched.Schedule.ddg in
   if not (supported ddg) then
     invalid_arg "Interp: loop has partially-defined registers";
-  let ii = sched.Schedule.ii in
-  let order =
-    List.concat_map
-      (fun i ->
-        List.map (fun id -> (Schedule.time sched id + (i * ii), i, id))
-          (Ddg.real_ids ddg))
-      (List.init trip Fun.id)
-    |> List.sort compare
-  in
   let mem = Hashtbl.create 256 in
+  let cycle = ref min_int and landing = ref [] in
+  let retire () =
+    List.iter (fun (r, v, i) -> write r v ~iter:i) (List.rev !landing);
+    landing := []
+  in
   List.iter
-    (fun (_, i, id) ->
+    (fun (t, i, id) ->
+      if t <> !cycle then begin
+        retire ();
+        cycle := t
+      end;
       let o = Ddg.op ddg id in
       let read (r, d) = read ~seed (r, d) ~iter:i in
-      let write r v = write r v ~iter:i in
+      let write r v = landing := (r, v, i) :: !landing in
       exec mem o ~read ~write)
-    order;
-  let defined = Hashtbl.create 32 in
-  List.iter
-    (fun i ->
-      List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
-    (Ddg.real_ids ddg);
+    (issue_order sched ~iters:trip);
+  retire ();
   let finals =
-    Hashtbl.fold (fun r () acc -> r :: acc) defined []
-    |> List.sort compare
-    |> List.filter_map (fun r -> snapshot r ~last_iter:(trip - 1))
+    List.filter_map (fun r -> snapshot r ~last_iter:(trip - 1)) (defined_regs ddg)
   in
   let memory =
     Hashtbl.fold (fun addr v acc -> (addr, v) :: acc) mem [] |> List.sort compare
@@ -243,11 +275,7 @@ let run_mve ?(seed = 42) ?mve sched ~trip =
   let mve = match mve with Some m -> m | None -> Mve.expand sched in
   let k = mve.Mve.unroll in
   let cells : (string, float) Hashtbl.t = Hashtbl.create 64 in
-  let defined = Hashtbl.create 32 in
-  List.iter
-    (fun i ->
-      List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
-    (Ddg.real_ids ddg);
+  let defined = defined_set ddg in
   let write r v ~iter =
     Hashtbl.replace cells (Mve.rename mve ~reg:r ~copy:(iter mod k) ~distance:0) v
   in
@@ -279,11 +307,7 @@ let run_rotating ?(seed = 42) sched ~trip =
   let alloc = Rotreg.allocate sched in
   let size = max 1 alloc.Rotreg.file_size in
   let file = Array.make size None in
-  let defined = Hashtbl.create 32 in
-  List.iter
-    (fun i ->
-      List.iter (fun r -> Hashtbl.replace defined r ()) (Ddg.op ddg i).Op.dsts)
-    (Ddg.real_ids ddg);
+  let defined = defined_set ddg in
   (* The file rotates down one position per iteration: architectural
      register [x] read in iteration [i] is physical cell [(x - i) mod
      size].  A definition of [v] (architectural [base_v]) in iteration
@@ -320,47 +344,11 @@ let run_rotating ?(seed = 42) sched ~trip =
   replay_finite ~seed sched ~trip ~write ~read ~snapshot
 
 let run_sequential_with_exit ?(seed = 42) ddg ~exit_op ~max_trip =
-  let instances = Hashtbl.create 256 in
-  let mem = Hashtbl.create 256 in
-  let exit_iter = ref max_trip in
-  let i = ref 0 in
-  while !i < max_trip && !exit_iter = max_trip do
-    let iter = !i in
-    let taken = ref false in
-    List.iter
-      (fun id ->
-        if not !taken || id <= exit_op then begin
-          let o = Ddg.op ddg id in
-          let read (r, d) =
-            let target = iter - d in
-            let rec walk j =
-              if j < 0 then live_in ~seed r (min target (-1))
-              else
-                match Hashtbl.find_opt instances (r, j) with
-                | Some v -> v
-                | None -> walk (j - 1)
-            in
-            walk target
-          in
-          let write r v = Hashtbl.replace instances (r, iter) v in
-          exec mem o ~read ~write;
-          if id = exit_op then begin
-            let cond =
-              match o.Op.srcs with
-              | (c : Op.operand) :: _ -> read (c.Op.reg, c.Op.distance)
-              | [] -> 0.0
-            in
-            if cond <> 0.0 then begin
-              taken := true;
-              exit_iter := iter
-            end
-          end
-        end)
-      (Ddg.real_ids ddg);
-    incr i
-  done;
-  let trip = if !exit_iter = max_trip then max_trip else !exit_iter + 1 in
-  (outcome_of ~seed ~trip ddg instances mem, !exit_iter)
+  let instances, mem, exit_iter =
+    sequential_instances ~exit_op ~seed ddg ~trip:max_trip
+  in
+  let trip = if exit_iter = max_trip then max_trip else exit_iter + 1 in
+  (outcome_of ~seed ~trip ddg instances mem, exit_iter)
 
 let run_pipelined_with_exit ?(seed = 42) sched ~exit_op ~max_trip =
   let ddg = sched.Schedule.ddg in
@@ -386,49 +374,28 @@ let run_pipelined_with_exit ?(seed = 42) sched ~exit_op ~max_trip =
       Schedule.time sched id + (i * ii) < resolve_time
     end
   in
-  let order =
-    List.concat_map
-      (fun i ->
-        List.filter_map
-          (fun id ->
-            if executes (i, id) then
-              Some (Schedule.time sched id + (i * ii), i, id)
-            else None)
-          (Ddg.real_ids ddg))
-      (List.init (min max_trip (exit_iter + Schedule.stage_count sched + 1)) Fun.id)
-    |> List.sort compare
+  let instances, mem =
+    replay_instances ~seed ddg
+      (issue_order ~executes sched
+         ~iters:(min max_trip (exit_iter + Schedule.stage_count sched + 1)))
   in
-  let instances = Hashtbl.create 256 in
-  let mem = Hashtbl.create 256 in
-  List.iter
-    (fun (_, i, id) ->
-      let o = Ddg.op ddg id in
-      let read (r, d) =
-        let j = i - d in
-        if j < 0 then live_in ~seed r j
-        else
-          match Hashtbl.find_opt instances (r, j) with
-          | Some v -> v
-          | None -> live_in ~seed r (-1)
-      in
-      let write r v = Hashtbl.replace instances (r, i) v in
-      exec mem o ~read ~write)
-    order;
   let trip = if exit_iter = max_trip then max_trip else exit_iter + 1 in
   (outcome_of ~seed ~trip ddg instances mem, exit_iter)
 
-let check ?(seed = 42) ?metrics ?trip sched =
+type judgement = Equivalent | Diverges of string | Abstains
+
+let judge ?(seed = 42) ?metrics ?trip sched =
   let replays =
     Option.map (fun m -> Ims_obs.Metrics.counter m "interp.replays") metrics
   in
   let ddg = sched.Schedule.ddg in
-  if not (supported ddg) then Ok ()
+  if not (supported ddg) then Abstains
   else begin
     let trip =
       Option.value ~default:((3 * Schedule.stage_count sched) + 5) trip
     in
     match run_sequential ~seed ddg ~trip with
-    | exception Unsupported msg -> Error msg
+    | exception Unsupported msg -> Diverges msg
     | reference ->
         let modes =
           [
@@ -440,13 +407,13 @@ let check ?(seed = 42) ?metrics ?trip sched =
         List.fold_left
           (fun acc (label, run) ->
             match acc with
-            | Error _ -> acc
-            | Ok () ->
+            | Diverges _ | Abstains -> acc
+            | Equivalent ->
                 Option.iter Ims_obs.Metrics.incr replays;
                 let b = run sched ~trip in
-                if equivalent reference b then Ok ()
+                if equivalent reference b then Equivalent
                 else
-                  Error
+                  Diverges
                     (Printf.sprintf
                        "%s diverges from sequential execution (%d memory \
                         cells vs %d, %d finals vs %d)"
@@ -454,10 +421,10 @@ let check ?(seed = 42) ?metrics ?trip sched =
                        (List.length b.memory)
                        (List.length reference.finals)
                        (List.length b.finals)))
-          (Ok ()) modes
+          Equivalent modes
   end
 
-(* Shared driver: replay iterations in schedule (issue) order with a
-   caller-supplied finite register model, then rebuild the outcome from
-   the final sequential re-read of the same model.  [write cell value]
-   and [read (reg, distance) ~iter] hide the register structure. *)
+let check ?seed ?metrics ?trip sched =
+  match judge ?seed ?metrics ?trip sched with
+  | Equivalent | Abstains -> Ok ()
+  | Diverges e -> Error e

@@ -45,17 +45,26 @@ val run_pipelined : ?seed:int -> Schedule.t -> trip:int -> outcome
 val equivalent : outcome -> outcome -> bool
 (** Bit-exact agreement (NaN equal to NaN). *)
 
+type judgement =
+  | Equivalent  (** Every replay computed the sequential values. *)
+  | Diverges of string  (** The first replay that did not, and how. *)
+  | Abstains  (** Not {!supported}: nothing was replayed. *)
+
+val judge :
+  ?seed:int -> ?metrics:Ims_obs.Metrics.t -> ?trip:int -> Schedule.t -> judgement
+(** Sequential execution against all three overlapped replays — issue
+    order, finite MVE registers, and the physical rotating file — for a
+    supported loop ([trip] defaults to 3 * stages + 5).  [metrics]
+    counts each replay actually performed under ["interp.replays"]. *)
+
 val check :
   ?seed:int ->
   ?metrics:Ims_obs.Metrics.t ->
   ?trip:int ->
   Schedule.t ->
   (unit, string) result
-(** Sequential execution against all three overlapped replays — issue
-    order, finite MVE registers, and the physical rotating file — for a
-    supported loop ([trip] defaults to 3 * stages + 5); [Ok] for
-    unsupported loops (nothing to disprove).  [metrics] counts each
-    replay actually performed under ["interp.replays"]. *)
+(** {!judge} as a pass/fail: [Ok] also for unsupported loops (nothing
+    to disprove). *)
 
 val run_mve : ?seed:int -> ?mve:Mve.t -> Schedule.t -> trip:int -> outcome
 (** Replay through the {e finite} register set of the MVE schema: each

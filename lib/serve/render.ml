@@ -11,15 +11,18 @@ let cache_key ~machine_dump ~budget_ratio ~max_delta_ii ~dump =
       dump;
     ]
 
-let schedule_dump ~machine ~budget_ratio ~max_delta_ii ?counters ?trace
-    ?cancel dump =
-  let ddg = Ims_workloads.Loop_parse.parse machine dump in
+let schedule_ddg ~budget_ratio ~max_delta_ii ?counters ?trace ?cancel ddg =
   let h =
     Ims_check.Fallback.modulo_schedule_or_fallback ~budget_ratio ~max_delta_ii
       ?counters ?trace ?cancel ddg
   in
   (h, Ims_core.Schedule.length h.Ims_check.Fallback.schedule,
    Ims_ir.Ddg.n_real ddg)
+
+let schedule_dump ~machine ~budget_ratio ~max_delta_ii ?counters ?trace
+    ?cancel dump =
+  schedule_ddg ~budget_ratio ~max_delta_ii ?counters ?trace ?cancel
+    (Ims_workloads.Loop_parse.parse machine dump)
 
 let done_fields ((h : Ims_check.Fallback.t), sl, n) =
   let ims_fields =

@@ -22,6 +22,18 @@ val cache_key :
     search; they do not change its answer, and preempted searches are
     never cached). *)
 
+val schedule_ddg :
+  budget_ratio:float ->
+  max_delta_ii:int ->
+  ?counters:Ims_mii.Counters.t ->
+  ?trace:Trace.t ->
+  ?cancel:Cancel.t ->
+  Ims_ir.Ddg.t ->
+  scheduled
+(** One loop's job in batch and serve: the degradation ladder
+    ({!Ims_check.Fallback.modulo_schedule_or_fallback}) plus the
+    reported length and size.  Re-raises a fired [cancel]. *)
+
 val schedule_dump :
   machine:Ims_machine.Machine.t ->
   budget_ratio:float ->
@@ -31,10 +43,8 @@ val schedule_dump :
   ?cancel:Cancel.t ->
   string ->
   scheduled
-(** Parse a loop dump and run it through the degradation ladder — the
-    serve worker's job body.  Raises like {!Ims_workloads.Loop_parse}
-    and re-raises a fired [cancel] (the engine converts both to
-    structured outcomes). *)
+(** Parse a loop dump and {!schedule_ddg} it — the serve worker's job
+    body.  Raises like {!Ims_workloads.Loop_parse}. *)
 
 val done_fields : scheduled -> (string * Json.t) list
 (** The successful record's fields: n/ii/sl, the scheduler statistics

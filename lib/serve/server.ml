@@ -270,13 +270,7 @@ let run config ~machine_of ~log =
 
           (* Worker side. *)
           let f (shard : Ims_exec.Shard.t) (j : job) =
-            (match config.inject_spin with
-            | Some (name, secs) when name = j.name ->
-                let until = U.gettimeofday () +. secs in
-                while U.gettimeofday () < until do
-                  Cancel.poll shard.Ims_exec.Shard.cancel
-                done
-            | _ -> ());
+            Ims_exec.Shard.spin config.inject_spin ~name:j.name shard;
             Render.schedule_dump ~machine:j.machine
               ~budget_ratio:j.budget_ratio ~max_delta_ii:j.max_delta_ii
               ~counters:shard.Ims_exec.Shard.counters

@@ -15,6 +15,7 @@ let () =
       Test_check.tests;
       Test_exec.tests;
       Test_resilience.tests;
+      Test_run.tests;
       Test_fleet.tests;
       Test_serve.tests;
       Test_integration.tests;

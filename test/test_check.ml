@@ -53,6 +53,22 @@ let test_check_pass_summary () =
   Alcotest.(check string) "summary wording"
     "all checks passed (lint, verify, simulator, interp)" (Check.summary v)
 
+(* lfk13 is predicated: some registers are not written on every
+   iteration, so the interpreter has nothing it can replay.  The pass
+   must say so instead of claiming interp coverage. *)
+let test_check_interp_abstention () =
+  let ddg = Lfk.build machine "lfk13" in
+  Alcotest.(check bool) "outside interp's domain" false
+    (Ims_pipeline.Interp.supported ddg);
+  let v = Check.all (schedule_of ddg) in
+  Alcotest.(check bool) "not rejected" true (Check.passed v);
+  Alcotest.(check bool) "no killer" true (Check.killed_by v = []);
+  Alcotest.(check bool) "interp abstained" true
+    (Check.abstained v = [ Check.Interp ]);
+  Alcotest.(check string) "summary wording"
+    "all checks passed (lint, verify, simulator); interp abstained"
+    (Check.summary v)
+
 let test_check_attributes_violation_to_verify () =
   let s = schedule_of (Lfk.build machine "lfk05") in
   let entries = Array.copy s.Schedule.entries in
@@ -164,6 +180,8 @@ let tests =
         test_check_all_passes_lfk;
       Alcotest.test_case "all: pass summary wording" `Quick
         test_check_pass_summary;
+      Alcotest.test_case "all: interp abstention is reported" `Quick
+        test_check_interp_abstention;
       Alcotest.test_case "all: violation attributed to verify" `Quick
         test_check_attributes_violation_to_verify;
       Alcotest.test_case "mutate: must-kill classes killed" `Quick

@@ -480,6 +480,32 @@ let test_interp_check_skips_unsupported () =
       Alcotest.(check bool) "unsupported loop" false (Interp.supported ddg);
       Alcotest.(check bool) "check passes vacuously" true (Interp.check s = Ok ())
 
+(* A recurrence whose II-5 schedule issues [v5 = fadd v6 v1] in the
+   same cycle as a later iteration's [v6 = fmul v5[2] v0] reading the
+   same MVE register: the reader must see the value from before that
+   cycle.  When replay_finite made a write visible at issue, the MVE
+   replay diverged and the loop degraded to its II-23 list schedule. *)
+let same_cycle_mve_dump =
+  "v3 = aadd v3[1] $8\n\
+   v4 = load v3\n\
+   v6 = fmul v5[2] v0\n\
+   v5 = fadd v6 v1\n\
+   v7 = aadd v7[1] $8\n\
+   store v7 v0\n\
+   v8 = aadd v8[1] $1\n\
+   v10 = cmp v8 v9\n\
+   branch v10\n"
+
+let test_interp_same_cycle_write_invisible () =
+  let ddg = Ims_workloads.Loop_parse.parse machine same_cycle_mve_dump in
+  let h = Ims_check.Fallback.modulo_schedule_or_fallback ddg in
+  let s = h.Ims_check.Fallback.schedule in
+  Alcotest.(check bool) "not degraded" true (h.Ims_check.Fallback.degraded = None);
+  Alcotest.(check int) "ii" 5 s.Schedule.ii;
+  let trip = (3 * Schedule.stage_count s) + 5 in
+  Alcotest.(check bool) "mve replay = sequential" true
+    (Interp.equivalent (Interp.run_sequential ddg ~trip) (Interp.run_mve s ~trip))
+
 let prop_interp_equivalence =
   QCheck.Test.make ~count:40
     ~name:"interp: pipelined execution computes sequential values"
@@ -508,6 +534,8 @@ let interp_tests =
       test_interp_unsupported_partial_defs;
     Alcotest.test_case "interp: check skips unsupported" `Quick
       test_interp_check_skips_unsupported;
+    Alcotest.test_case "interp: same-cycle write invisible to readers" `Quick
+      test_interp_same_cycle_write_invisible;
     QCheck_alcotest.to_alcotest prop_interp_equivalence;
   ]
 
